@@ -20,7 +20,7 @@ from .closed_form import (
     logdet_gjms,
     zeta_odd,
 )
-from .errors import DivergentDeterminantError, InvalidDimensionError
+from .errors import DivergentDeterminantError, Float64RangeError, InvalidDimensionError
 from .exact import bernoulli, binomial
 from .norlund import d_norlund, d_norlund_series_oracle
 from .product_rules import (
@@ -35,7 +35,6 @@ from .quadrature import (
     QuadResult,
     integrand_factor,
     integrand_main,
-    integrand_main_chebyshev,
     logdet_factor_quadrature,
     logdet_quadrature,
     logdet_quadrature_result,
@@ -66,7 +65,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadResult",
     "integrand_main",
-    "integrand_main_chebyshev",
     "integrand_factor",
     "logdet_quadrature",
     "logdet_quadrature_result",
@@ -78,5 +76,6 @@ __all__ = [
     "logdet_via_product",
     "InvalidDimensionError",
     "DivergentDeterminantError",
+    "Float64RangeError",
     "__version__",
 ]

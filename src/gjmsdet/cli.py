@@ -43,8 +43,9 @@ def _precision() -> PrecisionContext:
     return PrecisionContext()
 
 
-def _nstr(value, digits: int) -> str:
-    return mp.nstr(value, digits)
+def _require(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -59,29 +60,29 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_logdet(args) -> int:
+    _require("--digits", args.digits, 1)
     expr = logdet_gjms(args.d, args.k)
     ctx = _precision()
     value = evaluate(expr, ctx)
     if args.format == "plain":
         print(f"log det P_{2 * args.k}({args.d}) = {expr}")
-        print(f"  ~ {_nstr(value, args.digits)}")
+        print(f"  ~ {mp.nstr(value, args.digits)}")
     elif args.format == "latex":
         print(expr.to_latex())
-        print(f"% ~ {_nstr(value, args.digits)}")
+        print(f"% ~ {mp.nstr(value, args.digits)}")
     else:  # json
         payload = {
             "d": args.d,
             "k": args.k,
             "terms": expr.to_json_obj(),
-            "value": _nstr(value, args.digits),
+            "value": mp.nstr(value, args.digits),
         }
         print(json.dumps(payload, separators=(",", ":")))
     return 0
 
 
 def _cmd_quad(args) -> int:
-    cfg = QuadratureConfig(abs_tol=args.tol, scheme=args.scheme)
-    res = logdet_quadrature_result(args.d, args.k, cfg, form=args.form)
+    res = logdet_quadrature_result(args.d, args.k, QuadratureConfig(abs_tol=args.tol))
     print(f"log det P_{2 * args.k}({args.d}) ~ {res.value!r}")
     print(f"  error estimate: {res.error:.3e}")
     print(f"  integrand evaluations: {res.neval}")
@@ -128,6 +129,7 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _require("--digits", args.digits, 1)
     ctx = _precision()
     rows = []
     if args.fixed_d is not None:
@@ -149,7 +151,7 @@ def _cmd_sweep(args) -> int:
     writer.writerow(["d", "k", "logdet"])
     for d, k in rows:
         value = evaluate(logdet_gjms(d, k), ctx)
-        writer.writerow([d, k, _nstr(value, args.digits)])
+        writer.writerow([d, k, mp.nstr(value, args.digits)])
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -159,6 +161,8 @@ def _cmd_tables(args) -> int:
     out = io.StringIO()
     if args.d_norlund:
         m_max, k_max = args.d_norlund
+        _require("--d-norlund M_MAX", m_max, 1)
+        _require("--d-norlund K_MAX", k_max, 0)
         grid = {
             (m, k): d_norlund(m, k)
             for m in range(1, m_max + 1)
@@ -183,22 +187,24 @@ def _cmd_tables(args) -> int:
                     + "\n"
                 )
     elif args.f is not None:
+        _require("--f", args.f, 0)
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["m", "exact", "value"])
             for m in range(args.f + 1):
                 e = f_expr(m)
-                writer.writerow([m, str(e), _nstr(evaluate(e, ctx), DEFAULT_SHOWN_DIGITS)])
+                writer.writerow([m, str(e), mp.nstr(evaluate(e, ctx), DEFAULT_SHOWN_DIGITS)])
         else:
             for m in range(args.f + 1):
                 e = f_expr(m)
                 rendered = e.to_latex() if args.format == "latex" else str(e)
                 out.write(
                     f"f_{m} = {rendered}"
-                    f" ~ {_nstr(evaluate(e, ctx), DEFAULT_SHOWN_DIGITS)}\n"
+                    f" ~ {mp.nstr(evaluate(e, ctx), DEFAULT_SHOWN_DIGITS)}\n"
                 )
     else:
         n_max = args.central
+        _require("--central", n_max, 1)
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["n", "k", "t(n,k)"])
@@ -243,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--scheme", choices=("gauss-kronrod", "tanh-sinh"),
-                   default="gauss-kronrod")
-    p.add_argument("--form", choices=("direct", "chebyshev"), default="direct")
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("rule", help="determinant product rule")

@@ -17,7 +17,6 @@ numeric evaluation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +24,7 @@ from math import comb, factorial
 
 import mpmath as mp
 
-from .errors import DivergentDeterminantError, InvalidDimensionError
+from .errors import validate_d_k
 from .norlund import d_norlund
 from .zexpr import LOG2, ONE, ZetaExpr
 
@@ -101,21 +100,10 @@ def f_expr(m: int) -> ZetaExpr:
     return f_odd((m - 1) // 2)
 
 
-def _validate_d_k(d: int, k: int) -> None:
-    if d < 3 or d % 2 == 0:
-        raise InvalidDimensionError(f"d must be an odd integer >= 3, got {d}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if 2 * k > d:
-        raise DivergentDeterminantError(
-            f"determinant diverges for 2k > d (d={d}, k={k})"
-        )
-
-
 @lru_cache(maxsize=None)
 def logdet_gjms(d: int, k: int) -> ZetaExpr:
     """Exact log det P_2k on the round unit d-sphere, d odd, 2k <= d."""
-    _validate_d_k(d, k)
+    validate_d_k(d, k)
     acc = ZetaExpr.zero()
     for j in range(k):
         c = comb(2 * k - 1 - j, j) * Fraction(-1, 4) ** j
@@ -126,35 +114,13 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
 
 # -- numeric evaluation ---------------------------------------------------
 
-_ACCEL_BASE = 3 + 2 * math.sqrt(2)  # = 3 + sqrt(8); error decays like its -n power
-
-
 @lru_cache(maxsize=None)
 def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
-    """zeta(s) for odd s >= 3 with relative error <= 10^-decimal_digits.
-
-    Computed through the conventional alternating series
-    eta(s) = sum (-1)^{n-1} n^{-s} = (1 - 2^{1-s}) zeta(s), accelerated with
-    Chebyshev-polynomial weights; for N weighted terms the error is below
-    3 / (3 + sqrt 8)^N, which fixes N from the requested digits.
-    """
+    """zeta(s) for odd s >= 3 with relative error <= 10^-decimal_digits."""
     if s < 3 or s % 2 == 0:
         raise ValueError("s must be an odd integer >= 3")
-    digits = ctx.decimal_digits
-    n_terms = int(math.ceil((digits + 3) * math.log(10) / math.log(_ACCEL_BASE))) + 2
-    with mp.workdps(digits + 10):
-        big = (mp.mpf(3) + mp.sqrt(8)) ** n_terms
-        big = (big + 1 / big) / 2
-        b = mp.mpf(-1)
-        c = -big
-        acc = mp.mpf(0)
-        for j in range(n_terms):
-            c = b - c
-            acc += c / mp.mpf(j + 1) ** s
-            b = b * ((j + n_terms) * (j - n_terms)) / ((j + mp.mpf(1) / 2) * (j + 1))
-        eta_conventional = acc / big
-        value = eta_conventional / (1 - mp.mpf(2) ** (1 - s))
-        return +value
+    with mp.workdps(ctx.decimal_digits + 10):
+        return mp.zeta(s)
 
 
 def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .closed_form import _validate_d_k, logdet_gjms
-from .errors import InvalidDimensionError
+from .closed_form import logdet_gjms
+from .errors import validate_d_k
 from .zexpr import ZetaExpr
 
 __all__ = [
@@ -96,12 +96,7 @@ class ProductRule:
 
 def product_rule(d: int, k: int) -> ProductRule:
     """The product rule for det P_2k(d); dimensions d, d-2, ..., d-2k+2."""
-    _validate_d_k(d, k)
-    if d - 2 * k + 2 < 3:
-        # unreachable for odd d with 2k <= d; the final factor is never P_2(1)
-        raise InvalidDimensionError(
-            f"rule would reach dimension {d - 2 * k + 2} < 3 (d={d}, k={k})"
-        )
+    validate_d_k(d, k)
     exponents = rule_exponents(k)
     return ProductRule(
         k=k, factors=tuple((d - 2 * j, v) for j, v in enumerate(exponents))

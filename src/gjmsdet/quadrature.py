@@ -10,7 +10,9 @@ and each conformal-Laplacian factor det(B^2 - alpha_j^2), alpha_j = j+1/2,
 has an analogous integral.  Integrands are evaluated in exponentially
 scaled form (a decaying exponential times a bounded rational function of
 e^{-x}), so nothing overflows for x up to 1e4; the semi-infinite domain is
-truncated where a closed-form geometric tail bound drops below tolerance.
+truncated where a closed-form geometric tail bound drops below tolerance,
+and the rest is integrated by adaptive Gauss-Kronrod (QUADPACK).  The
+scale 2^{d-1} must be a finite double, which limits d to D_MAX_FLOAT64.
 """
 
 from __future__ import annotations
@@ -20,44 +22,35 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad as _gk_quad
-from scipy.integrate import tanhsinh as _tanhsinh
 
-from .errors import DivergentDeterminantError, InvalidDimensionError
+from .errors import Float64RangeError, validate_d_k
 
 __all__ = [
     "QuadratureConfig",
     "QuadResult",
     "integrand_main",
-    "integrand_main_chebyshev",
     "integrand_factor",
     "logdet_quadrature",
     "logdet_quadrature_result",
     "logdet_factor_quadrature",
 ]
 
-SCHEMES = ("gauss-kronrod", "tanh-sinh")
+# largest d with 2^(d-1) <= 2^1023, the largest power of two a double holds
+D_MAX_FLOAT64 = 1023
 
 _PI2 = math.pi**2
+_GK_LIMIT = 9523  # QUADPACK subinterval limit
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Scheme choice, tolerance and truncation policy for the integrals."""
+    """Absolute tolerance for the integrals."""
 
     abs_tol: float = 1e-12
-    scheme: str = "gauss-kronrod"
-    max_evals: int = 200_000
-    truncation_x: float | None = None  # None = choose from the tail bound
 
     def __post_init__(self) -> None:
         if self.abs_tol < 1e-14:
             raise ValueError("abs_tol below the double-precision floor 1e-14")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be positive")
-        if self.truncation_x is not None and self.truncation_x <= 0:
-            raise ValueError("truncation_x must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,17 +58,6 @@ class QuadResult:
     value: float
     error: float
     neval: int
-
-
-def _validate(d: int, k: int) -> None:
-    if d < 3 or d % 2 == 0:
-        raise InvalidDimensionError(f"d must be an odd integer >= 3, got {d}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if 2 * k > d:
-        raise DivergentDeterminantError(
-            f"integral diverges for 2k > d (d={d}, k={k})"
-        )
 
 
 def integrand_main(x, d: int, k: int):
@@ -89,32 +71,6 @@ def integrand_main(x, d: int, k: int):
     grow = np.exp((k - d / 2) * x)
     num = (-np.expm1(-x)) * (-np.expm1(-2 * k * x))
     return (np.pi / (x * x + _PI2)) * 2.0 ** (d - 1) * grow * num / (1.0 + t) ** (d + 1)
-
-
-def integrand_main_chebyshev(x, d: int, k: int):
-    """The same integrand through sinh(kx) = sinh(x/2) U_{2k-1}(cosh(x/2)).
-
-    The Chebyshev polynomial is evaluated by its three-term recurrence in
-    the rescaled variables u_n = U_n(cosh(x/2)) e^{-nx/2}, which satisfy
-    u_{n+1} = (1 + e^{-x}) u_n - e^{-x} u_{n-1}: every quantity stays
-    bounded (no overflow) and positive (no cancellation).
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.exp(-x)
-    u_prev = np.ones_like(x)  # u_0
-    u_cur = 1.0 + t  # u_1
-    for _ in range(2 * k - 2):
-        u_prev, u_cur = u_cur, (1.0 + t) * u_cur - t * u_prev
-    sinh_sq_scaled = (-np.expm1(-x)) ** 2 / 4.0
-    return (
-        (np.pi / (x * x + _PI2))
-        * 2.0 ** (d - 1)
-        * sinh_sq_scaled
-        * u_cur
-        * np.exp((k - d / 2) * x)
-        * 4.0
-        / (1.0 + t) ** (d + 1)
-    )
 
 
 def integrand_factor(x, d: int, j: int):
@@ -135,86 +91,54 @@ def integrand_factor(x, d: int, j: int):
     )
 
 
-def _truncation_point(rate: float, amplitude: float, tol: float) -> float:
-    """Upper limit X with integral_X^inf amplitude*e^{-rate*x} dx < tol/10."""
-    if rate <= 0:
-        # cannot occur for odd d with integer k and 2k <= d
-        raise DivergentDeterminantError("integrand does not decay exponentially")
-    return max(40.0, math.log(10.0 * amplitude / (rate * tol)) / rate)
-
-
-def _integrate(f, upper: float, cfg: QuadratureConfig) -> QuadResult:
-    if cfg.scheme == "gauss-kronrod":
-        limit = max(50, cfg.max_evals // 21)
-        value, err, info = _gk_quad(
-            f, 0.0, upper, epsabs=cfg.abs_tol / 4, epsrel=1e-13,
-            limit=limit, full_output=True,
-        )[:3]
-        return QuadResult(value=value, error=err, neval=info["neval"])
-    res = _tanhsinh(f, 0.0, upper, atol=cfg.abs_tol / 4, rtol=1e-13)
-    if not res.success:
-        raise RuntimeError(f"tanh-sinh quadrature failed: status {res.status}")
+def _integrate(
+    f, d: int, k: int, scale_exp: int, sign: int, cfg: QuadratureConfig | None
+) -> QuadResult:
+    """sign / 2^scale_exp * integral_0^inf f, for an integrand f of order
+    k on the d-sphere bounded by 2^scale_exp / pi * e^{-(d/2-k) x}."""
+    validate_d_k(d, k)
+    if d > D_MAX_FLOAT64:
+        raise Float64RangeError(
+            f"quadrature works in float64 and needs d <= {D_MAX_FLOAT64}, got d={d}"
+        )
+    cfg = cfg or QuadratureConfig()
+    # upper limit X with integral_X^inf amplitude*e^{-rate*x} dx < abs_tol/10
+    rate = d / 2 - k
+    amplitude = 2.0**scale_exp / math.pi
+    upper = max(40.0, math.log(10.0 * amplitude / (rate * cfg.abs_tol)) / rate)
+    value, err, info = _gk_quad(
+        f, 0.0, upper, epsabs=cfg.abs_tol / 4, epsrel=1e-13,
+        limit=_GK_LIMIT, full_output=True,
+    )[:3]
+    prefactor = sign / 2.0**scale_exp
     return QuadResult(
-        value=float(res.integral), error=float(res.error), neval=int(res.nfev)
+        value=prefactor * value,
+        error=abs(prefactor) * err + cfg.abs_tol / 10,
+        neval=info["neval"],
     )
 
 
 def logdet_quadrature_result(
-    d: int,
-    k: int,
-    cfg: QuadratureConfig | None = None,
-    form: str = "direct",
+    d: int, k: int, cfg: QuadratureConfig | None = None
 ) -> QuadResult:
-    """logdet P_2k(d) by quadrature, with error estimate and eval count.
-
-    ``form`` selects the integrand: "direct" (hyperbolic product) or
-    "chebyshev" (the rearranged polynomial form); the two agree pointwise.
-    """
-    _validate(d, k)
-    cfg = cfg or QuadratureConfig()
-    if form == "direct":
-        f = lambda x: integrand_main(x, d, k)
-    elif form == "chebyshev":
-        f = lambda x: integrand_main_chebyshev(x, d, k)
-    else:
-        raise ValueError("form must be 'direct' or 'chebyshev'")
-    rate = d / 2 - k
-    upper = cfg.truncation_x or _truncation_point(
-        rate, 2.0 ** (d - 1) / math.pi, cfg.abs_tol
-    )
-    raw = _integrate(f, upper, cfg)
-    prefactor = (-1) ** ((d - 1) // 2 + k) / 2.0 ** (d - 1)
-    return QuadResult(
-        value=prefactor * raw.value,
-        error=abs(prefactor) * raw.error + cfg.abs_tol / 10,
-        neval=raw.neval,
+    """logdet P_2k(d) by quadrature, with error estimate and eval count."""
+    return _integrate(
+        lambda x: integrand_main(x, d, k), d, k, d - 1,
+        (-1) ** ((d - 1) // 2 + k), cfg,
     )
 
 
-def logdet_quadrature(
-    d: int, k: int, cfg: QuadratureConfig | None = None, form: str = "direct"
-) -> float:
+def logdet_quadrature(d: int, k: int, cfg: QuadratureConfig | None = None) -> float:
     """Numeric logdet P_2k(d) with absolute error <= cfg.abs_tol."""
-    return logdet_quadrature_result(d, k, cfg, form).value
+    return logdet_quadrature_result(d, k, cfg).value
 
 
 def logdet_factor_quadrature(
     d: int, j: int, cfg: QuadratureConfig | None = None
 ) -> float:
     """Numeric log det(B^2 - alpha_j^2) on the d-sphere, alpha_j = j + 1/2."""
-    if d < 3 or d % 2 == 0:
-        raise InvalidDimensionError(f"d must be an odd integer >= 3, got {d}")
-    if j < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
-    if 2 * (j + 1) > d:
-        raise DivergentDeterminantError(
-            f"factor determinant diverges for 2(j+1) > d (d={d}, j={j})"
-        )
-    cfg = cfg or QuadratureConfig()
-    rate = d / 2 - (j + 1)
-    upper = cfg.truncation_x or _truncation_point(
-        rate, 2.0 ** (d - 2) / math.pi, cfg.abs_tol
-    )
-    raw = _integrate(lambda x: integrand_factor(x, d, j), upper, cfg)
-    prefactor = (-1) ** ((d + 1) // 2) / 2.0 ** (d - 2)
-    return prefactor * raw.value
+    # factor j converges exactly where P_2k does with k = j + 1
+    return _integrate(
+        lambda x: integrand_factor(x, d, j), d, j + 1, d - 2,
+        (-1) ** ((d + 1) // 2), cfg,
+    ).value

@@ -173,7 +173,7 @@ class ZetaExpr:
                 else rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
             )
             if atom == ONE:
-                body = _pi_factor_latex(pi_pow, bare_one=True)
+                body = _pi_factor_latex(pi_pow)
             elif atom == LOG2:
                 body = r"\log 2" + _pi_factor_latex(pi_pow)
             else:
@@ -181,9 +181,7 @@ class ZetaExpr:
                     body = rf"\frac{{\zeta({atom})}}{{\pi^{{{-pi_pow}}}}}"
                 else:
                     body = rf"\zeta({atom})" + _pi_factor_latex(pi_pow)
-            piece = cs if (body == "" or (atom == ONE and pi_pow == 0)) else (
-                (rf"{cs}\,{body}" if mag != 1 else body)
-            )
+            piece = cs if body == "" else (rf"{cs}\,{body}" if mag != 1 else body)
             if out == "":
                 out = piece if sign == "+" else "-" + piece
             else:
@@ -222,13 +220,9 @@ class ZetaExpr:
         return cls.from_json_obj(json.loads(text))
 
 
-def _pi_factor_latex(pi_pow: int, bare_one: bool = False) -> str:
+def _pi_factor_latex(pi_pow: int) -> str:
     if pi_pow == 0:
-        return "1" if bare_one else ""
+        return ""
     if pi_pow == 1:
         return r"\pi"
-    if pi_pow > 0:
-        return rf"\pi^{{{pi_pow}}}"
-    if bare_one:
-        return rf"\pi^{{{pi_pow}}}"
     return rf"\pi^{{{pi_pow}}}"

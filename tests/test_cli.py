@@ -43,10 +43,27 @@ def test_logdet_invalid_inputs_exit_2(capsys):
         ["logdet", "--d", "4", "--k", "1"],
         ["logdet", "--d", "5", "--k", "3"],
         ["logdet", "--d", "5", "--k", "0"],
+        ["quad", "--d", "1101", "--k", "1"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error:" in err
+
+
+def test_out_of_range_flags_exit_2(capsys):
+    for flag, argv in (
+        ("--digits", ["logdet", "--d", "5", "--k", "2", "--digits", "0"]),
+        ("--digits", ["logdet", "--d", "5", "--k", "2", "--digits", "-3"]),
+        ("--digits", ["sweep", "--fixed-d", "5", "--digits", "0"]),
+        ("--central", ["tables", "--central", "0"]),
+        ("--f", ["tables", "--f", "-1"]),
+        ("--d-norlund", ["tables", "--d-norlund", "0", "3"]),
+        ("--d-norlund", ["tables", "--d-norlund", "3", "-1"]),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and flag in err, (argv, err)
 
 
 def test_quad_reports_value_error_and_evals(capsys):
@@ -54,12 +71,6 @@ def test_quad_reports_value_error_and_evals(capsys):
     assert code == 0
     assert "0.104642144105" in out
     assert "error estimate" in out and "integrand evaluations" in out
-
-
-def test_quad_tanh_sinh_scheme(capsys):
-    code, out, _ = run(capsys, "quad", "--d", "7", "--k", "2", "--scheme", "tanh-sinh")
-    assert code == 0
-    assert "-0.0082966596" in out
 
 
 def test_rule_abstract_and_concrete(capsys):

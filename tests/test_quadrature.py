@@ -1,15 +1,21 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad, tanhsinh
 
 from gjmsdet.closed_form import evaluate, logdet_gjms
-from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
+from gjmsdet.errors import (
+    DivergentDeterminantError,
+    Float64RangeError,
+    InvalidDimensionError,
+)
 from gjmsdet.quadrature import (
+    D_MAX_FLOAT64,
     QuadratureConfig,
     integrand_factor,
     integrand_main,
-    integrand_main_chebyshev,
     logdet_factor_quadrature,
     logdet_quadrature,
     logdet_quadrature_result,
@@ -25,6 +31,37 @@ def integrand_naive(x, d, k):
         * math.sinh(k * x)
         / math.cosh(x / 2) ** (d + 1)
     )
+
+
+def integrand_main_chebyshev(x, d, k):
+    """Oracle: the same integrand through sinh(kx) = sinh(x/2) U_{2k-1}(cosh(x/2)).
+
+    The Chebyshev polynomial is evaluated by its three-term recurrence in
+    the rescaled variables u_n = U_n(cosh(x/2)) e^{-nx/2}, which satisfy
+    u_{n+1} = (1 + e^{-x}) u_n - e^{-x} u_{n-1}: every quantity stays
+    bounded (no overflow) and positive (no cancellation).
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.exp(-x)
+    u_prev = np.ones_like(x)  # u_0
+    u_cur = 1.0 + t  # u_1
+    for _ in range(2 * k - 2):
+        u_prev, u_cur = u_cur, (1.0 + t) * u_cur - t * u_prev
+    sinh_sq_scaled = (-np.expm1(-x)) ** 2 / 4.0
+    return (
+        (np.pi / (x * x + math.pi**2))
+        * 2.0 ** (d - 1)
+        * sinh_sq_scaled
+        * u_cur
+        * np.exp((k - d / 2) * x)
+        * 4.0
+        / (1.0 + t) ** (d + 1)
+    )
+
+
+def prefactor(d, k):
+    """The sign and 2^{1-d} scale that turn the main integral into logdet."""
+    return (-1) ** ((d - 1) // 2 + k) / 2.0 ** (d - 1)
 
 
 def all_valid_pairs(d_max):
@@ -97,21 +134,31 @@ def test_quadrature_matches_closed_form():
         assert abs(logdet_quadrature(d, k) - closed) <= 1e-9, (d, k)
 
 
+def test_quadrature_matches_closed_form_relative_d_le_41():
+    # relative, so that the tiny values at large d cannot pass trivially
+    for d, k in all_valid_pairs(41):
+        closed = float(evaluate(logdet_gjms(d, k)))
+        assert abs(logdet_quadrature(d, k) - closed) <= 1e-10 * abs(closed), (d, k)
+
+
 def test_chebyshev_form_integrates_to_same_value():
     cfg = QuadratureConfig()
     for d, k in ((3, 1), (7, 3), (11, 4)):
-        direct = logdet_quadrature(d, k, cfg, form="direct")
-        cheb = logdet_quadrature(d, k, cfg, form="chebyshev")
-        assert abs(direct - cheb) <= 2 * cfg.abs_tol, (d, k)
+        cheb = prefactor(d, k) * quad(
+            integrand_main_chebyshev, 0.0, 200.0, args=(d, k),
+            epsabs=1e-13, epsrel=1e-13, limit=200,
+        )[0]
+        assert abs(logdet_quadrature(d, k, cfg) - cheb) <= 2 * cfg.abs_tol, (d, k)
 
 
 def test_schemes_agree():
-    gk = QuadratureConfig(scheme="gauss-kronrod")
-    ts = QuadratureConfig(scheme="tanh-sinh")
+    # tanh-sinh on the same integrand, independent of the production GK path
+    cfg = QuadratureConfig()
     for d, k in all_valid_pairs(9):
-        a = logdet_quadrature(d, k, gk)
-        b = logdet_quadrature(d, k, ts)
-        assert abs(a - b) <= 2 * gk.abs_tol, (d, k)
+        res = tanhsinh(integrand_main, 0.0, np.inf, args=(d, k), atol=0, rtol=1e-13)
+        assert res.success, (d, k)
+        ts = prefactor(d, k) * float(res.integral)
+        assert abs(logdet_quadrature(d, k, cfg) - ts) <= 2 * cfg.abs_tol, (d, k)
 
 
 def test_factor_single_factor_equals_k1():
@@ -148,20 +195,35 @@ def test_divergence_and_validation_guards():
         logdet_factor_quadrature(5, 2)
     with pytest.raises(InvalidDimensionError):
         logdet_factor_quadrature(4, 0)
-    with pytest.raises(ValueError):
-        logdet_quadrature(5, 1, QuadratureConfig(), form="other")
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=1e-15)
-    with pytest.raises(ValueError):
-        QuadratureConfig(scheme="monte-carlo")
-    with pytest.raises(ValueError):
-        QuadratureConfig(truncation_x=-1.0)
 
 
 def test_explicit_truncation_point_respected():
-    # generous manual truncation still reproduces the value
-    cfg = QuadratureConfig(truncation_x=200.0)
-    assert abs(logdet_quadrature(7, 2, cfg) - logdet_quadrature(7, 2)) < 1e-11
+    # a generous manual truncation at x = 200 reproduces the production value
+    manual = prefactor(7, 2) * quad(
+        integrand_main, 0.0, 200.0, args=(7, 2), epsabs=1e-13, epsrel=1e-13, limit=200
+    )[0]
+    assert abs(manual - logdet_quadrature(7, 2)) < 1e-11
+
+
+def test_float64_range_limit():
+    # the largest accepted d still agrees with a 30-digit oracle of the
+    # literal integral, though its value (~1e-312) is a subnormal double
+    d, k = D_MAX_FLOAT64, 1
+    with mp.workdps(30):
+        f = lambda x: (
+            mp.pi / (x * x + mp.pi**2) * mp.sinh(x / 2) * mp.sinh(k * x)
+            / mp.cosh(x / 2) ** (d + 1)
+        )
+        w = 40 / mp.sqrt(d)
+        oracle = prefactor(d, k) * mp.quad(f, [0, w / 4, w, 4 * w, mp.inf])
+    assert abs(logdet_quadrature(d, k) - oracle) <= 1e-10 * abs(oracle)
+    for d in (D_MAX_FLOAT64 + 2, 1101):
+        with pytest.raises(Float64RangeError, match="float64"):
+            logdet_quadrature(d, 1)
+        with pytest.raises(Float64RangeError, match="float64"):
+            logdet_factor_quadrature(d, 0)
