@@ -9,10 +9,9 @@ Three mutually cross-checking routes:
   {1, log 2, zeta(odd)/pi^even}.
 """
 
-from .central_factorials import central_t, f_odd_central, verify_central_norlund_identity
+from .central_factorials import central_t, verify_central_norlund_identity
 from .closed_form import (
     PrecisionContext,
-    eta_expr,
     evaluate,
     f_even,
     f_expr,
@@ -21,7 +20,7 @@ from .closed_form import (
     zeta_odd,
 )
 from .errors import DivergentDeterminantError, Float64RangeError, InvalidDimensionError
-from .exact import bernoulli, binomial
+from .exact import bernoulli
 from .norlund import d_norlund, d_norlund_series_oracle
 from .product_rules import (
     ProductRule,
@@ -45,17 +44,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "bernoulli",
-    "binomial",
     "d_norlund",
     "d_norlund_series_oracle",
     "central_t",
     "verify_central_norlund_identity",
-    "f_odd_central",
     "ZetaExpr",
     "ONE",
     "LOG2",
     "PrecisionContext",
-    "eta_expr",
     "f_even",
     "f_odd",
     "f_expr",

@@ -12,41 +12,45 @@ For odd arguments the t(*, *) are tied to the Norlund numbers by
 
     t(2m+1, 2n+1) = 2^{2(n-m)} C(2m, 2n) D^(2m+1)_{2m-2n},
 
-which this module verifies exactly, and they give an alternative route to
-the odd residue constants f_{2m+1}.
+which this module verifies exactly.  Through it the rows of x^[2m+1] supply
+the odd residue constants f_{2m+1} (see :mod:`gjmsdet.closed_form`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .norlund import d_norlund
-from .zexpr import ZetaExpr
 
 __all__ = [
     "central_t",
     "IdentityCheck",
     "verify_central_norlund_identity",
-    "f_odd_central",
 ]
 
 
-@lru_cache(maxsize=None)
+# rows x^[n] as ascending monomial coefficients, one growing list per parity,
+# seeded with x^[0] = 1 and x^[1] = x and extended by x^[n+2] = x^[n] (x^2 - n^2/4)
+_CENTRAL: tuple[list[tuple[Fraction, ...]], ...] = (
+    [(Fraction(1),)],
+    [(Fraction(0), Fraction(1))],
+)
+
+
 def _central_poly(n: int) -> tuple[Fraction, ...]:
-    """Ascending monomial coefficients of x^[n], by exact expansion."""
-    coeffs = [Fraction(0), Fraction(1)]  # the polynomial x
-    for i in range(1, n):
-        shift = Fraction(n, 2) - i
-        # multiply by (x + shift)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for p, c in enumerate(coeffs):
-            nxt[p + 1] += c
-            nxt[p] += c * shift
-        coeffs = nxt
-    return tuple(coeffs)
+    """Ascending monomial coefficients of x^[n], memoized up to the largest n."""
+    rows = _CENTRAL[n % 2]
+    while len(rows) <= n // 2:
+        last = rows[-1]
+        r = 2 * len(rows) - 2 + n % 2  # last is x^[r]
+        shift = Fraction(r * r, 4)
+        row = [Fraction(0), Fraction(0), *last]
+        for p, c in enumerate(last):
+            row[p] -= shift * c
+        rows.append(tuple(row))
+    return rows[n // 2]
 
 
 def central_t(n: int, k: int) -> Fraction:
@@ -102,34 +106,3 @@ def verify_central_norlund_identity(
             )
             out.append(IdentityCheck(m, n, lhs, rhs))
     return out
-
-
-@lru_cache(maxsize=None)
-def f_odd_central(m: int) -> ZetaExpr:
-    """f_{2m+1} from central differentials of nothing.
-
-    f_{2m+1} = (-1)^m sum_{n=0}^{m} (-1)^n 2^{2(m-n)}
-               * D^{2n+1} 0^[2m+1] / ((2m)! (2n+1) pi^{2n+1}) * A_n,
-
-    with A_0 = log 2 and A_n = (1 - 2^{-2n}) zeta(2n+1) for n >= 1, and
-    D^{2n+1} 0^[2m+1] = (2n+1)! t(2m+1, 2n+1).  The n = 0 (log 2) term
-    carries the same prefactor pattern as the zeta terms; this fixes the
-    overall normalization, pinned once against f_1 and f_3 and then held
-    fixed for all m.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    expr = ZetaExpr.zero()
-    for n in range(m + 1):
-        diff_nothing = factorial(2 * n + 1) * central_t(2 * m + 1, 2 * n + 1)
-        coeff = (
-            Fraction((-1) ** (m + n) * 4 ** (m - n))
-            * diff_nothing
-            / (factorial(2 * m) * (2 * n + 1))
-        )
-        if n == 0:
-            atom = ZetaExpr.log2(1)
-        else:
-            atom = ZetaExpr.zeta(2 * n + 1, 1 - Fraction(4) ** (-n))
-        expr = expr + (coeff * atom).mul_pi(-(2 * n + 1))
-    return expr

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -43,9 +44,9 @@ def _precision() -> PrecisionContext:
     return PrecisionContext()
 
 
-def _require(flag: str, value: int, least: int) -> None:
-    if value < least:
-        raise ValueError(f"{flag} must be >= {least}, got {value}")
+def _require(flag: str, value, least) -> None:
+    if not least <= value < math.inf:  # also rejects nan
+        raise ValueError(f"{flag} must be finite and >= {least}, got {value}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -103,6 +104,7 @@ def _cmd_rule(args) -> int:
 def _cmd_crosscheck(args) -> int:
     if args.d_max < 3 or args.d_max % 2 == 0:
         raise InvalidDimensionError("--d-max must be an odd integer >= 3")
+    _require("--tol", args.tol, 0)
     ctx = _precision()
     cfg = QuadratureConfig()
     header = f"{'d':>3} {'k':>3} {'closed_form':>18} {'quadrature':>18} {'product':>18} {'factor_sum':>18} {'max_dev':>10}"
@@ -290,11 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact coefficients pass Python's int-to-str digit limit (from d = 1667
+    # at k = 1); lift it for the output only (argv was parsed under it)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (InvalidDimensionError, DivergentDeterminantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

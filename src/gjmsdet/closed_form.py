@@ -24,13 +24,13 @@ from math import comb, factorial
 
 import mpmath as mp
 
+from .central_factorials import central_t
 from .errors import validate_d_k
 from .norlund import d_norlund
 from .zexpr import LOG2, ONE, ZetaExpr
 
 __all__ = [
     "PrecisionContext",
-    "eta_expr",
     "f_even",
     "f_odd",
     "f_expr",
@@ -51,19 +51,6 @@ class PrecisionContext:
             raise ValueError("decimal_digits must be >= 15")
 
 
-def eta_expr(ell: int) -> ZetaExpr:
-    """Alternating zeta value eta(ell) = sum_{n>=1} (-1)^n / n^ell, exactly.
-
-    Sign convention: the sum starts with -1, so eta(1) = -log 2 and
-    eta(ell) = (2^{1-ell} - 1) zeta(ell) for ell > 1 (negative for odd ell).
-    """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if ell == 1:
-        return ZetaExpr.log2(-1)
-    return ZetaExpr.zeta(ell, Fraction(2) ** (1 - ell) - 1)
-
-
 def f_even(m: int) -> Fraction:
     """f_{2m}, an exact rational: (1/2) (-1)^m / (2m)! * D^(2m)_{2m}."""
     if m < 0:
@@ -75,20 +62,40 @@ def f_even(m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _pi_f_odd(m: int) -> tuple[Fraction, ...]:
+    """pi f_{2m+1} as coefficients over (log 2, zeta(3)/pi^2, ..., zeta(2m+1)/pi^2m).
+
+    The Norlund numbers D^(2m+1)_{2m-2n} are read off the central factorial
+    row x^[2m+1]: the coefficient of zeta(2n+1)/pi^2n (of log 2 for n = 0) is
+    (-1)^{m+n} 4^{m-n} (2n)! t(2m+1, 2n+1) / (2m)!, times 1 - 4^-n for n >= 1.
+    """
+    out = []
+    for n in range(m + 1):
+        c = Fraction((-1) ** (m + n) * 4 ** (m - n) * factorial(2 * n), factorial(2 * m))
+        c *= central_t(2 * m + 1, 2 * n + 1)
+        out.append(c * (1 - Fraction(1, 4**n)) if n else c)
+    return tuple(out)
+
+
+def _expr(coeffs, pi_pow: int) -> ZetaExpr:
+    """pi^pi_pow times the dense vector coeffs over (log 2, zeta(3)/pi^2, ...)."""
+    return ZetaExpr(
+        (2 * n + 1 if n else LOG2, pi_pow - 2 * n, c) for n, c in enumerate(coeffs)
+    )
+
+
+@lru_cache(maxsize=None)
 def f_odd(m: int) -> ZetaExpr:
     """f_{2m+1} as an exact expression over {log 2, zeta(odd)}.
 
     f_{2m+1} = -sum_{n=0}^{m} (-1)^n / (2n)! * D^(2m+1)_{2n}
-               * eta(2m-2n+1) / pi^{2m-2n+1}
+               * eta(2m-2n+1) / pi^{2m-2n+1},
+
+    eta(1) = -log 2 and eta(s) = (2^{1-s} - 1) zeta(s) for s > 1.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    expr = ZetaExpr.zero()
-    for n in range(m + 1):
-        ell = 2 * m - 2 * n + 1
-        coeff = -Fraction((-1) ** n, factorial(2 * n)) * d_norlund(2 * m + 1, n)
-        expr = expr + (coeff * eta_expr(ell)).mul_pi(-ell)
-    return expr
+    return _expr(_pi_f_odd(m), -1)
 
 
 def f_expr(m: int) -> ZetaExpr:
@@ -102,14 +109,24 @@ def f_expr(m: int) -> ZetaExpr:
 
 @lru_cache(maxsize=None)
 def logdet_gjms(d: int, k: int) -> ZetaExpr:
-    """Exact log det P_2k on the round unit d-sphere, d odd, 2k <= d."""
+    """Exact log det P_2k on the round unit d-sphere, d odd, 2k <= d.
+
+    Every f in the formula has odd index d + 2j - 2k = 2(m0 + j) + 1, so the
+    sum is a weighted sum of the dense vectors pi f_{2m+1}, m0 <= m <= m0 + k.
+    """
     validate_d_k(d, k)
-    acc = ZetaExpr.zero()
+    m0 = (d - 1) // 2 - k
+    weights = [Fraction(0)] * (k + 1)
     for j in range(k):
         c = comb(2 * k - 1 - j, j) * Fraction(-1, 4) ** j
-        acc = acc + c * (f_expr(d + 2 * j - 2 * k) - f_expr(d + 2 + 2 * j - 2 * k))
+        weights[j] += c
+        weights[j + 1] -= c
+    acc = [Fraction(0)] * (m0 + k + 1)
+    for j, w in enumerate(weights):
+        for n, c in enumerate(_pi_f_odd(m0 + j)):
+            acc[n] += w * c
     prefactor = Fraction((-1) ** ((d - 1) // 2 + k), 2 ** (d - 2 * k))
-    return (prefactor * acc).mul_pi(1)
+    return _expr((prefactor * c for c in acc), 0)
 
 
 # -- numeric evaluation ---------------------------------------------------

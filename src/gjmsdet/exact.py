@@ -1,4 +1,4 @@
-"""Exact integer and rational building blocks: binomials and Bernoulli numbers.
+"""Bernoulli numbers as exact rationals.
 
 Everything here is computed over arbitrary-precision integers and
 ``fractions.Fraction``; no floating point enters at any stage.
@@ -9,20 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-__all__ = ["binomial", "bernoulli"]
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), with C(n, k) = 0 for k < 0 or k > n.
-
-    The out-of-range convention keeps sum bounds simple at call sites.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
+__all__ = ["bernoulli"]
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 

@@ -49,8 +49,11 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 1e-14:
-            raise ValueError("abs_tol below the double-precision floor 1e-14")
+        if not 1e-14 <= self.abs_tol < math.inf:  # also rejects nan
+            raise ValueError(
+                f"abs_tol must be finite and >= 1e-14 (the double-precision floor), "
+                f"got {self.abs_tol}"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,11 @@ def _integrate(
         f, 0.0, upper, epsabs=cfg.abs_tol / 4, epsrel=1e-13,
         limit=_GK_LIMIT, full_output=True,
     )[:3]
+    # QUADPACK's estimate plus the tail bound, both mapped to the returned value
     prefactor = sign / 2.0**scale_exp
     return QuadResult(
         value=prefactor * value,
-        error=abs(prefactor) * err + cfg.abs_tol / 10,
+        error=abs(prefactor) * (err + cfg.abs_tol / 10),
         neval=info["neval"],
     )
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from gjmsdet.central_factorials import f_odd_central, verify_central_norlund_identity
+from gjmsdet.central_factorials import verify_central_norlund_identity
 from gjmsdet.closed_form import evaluate, f_even, f_expr, f_odd, logdet_gjms
 from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.norlund import d_norlund, d_norlund_series_oracle
@@ -29,6 +29,7 @@ from gjmsdet.quadrature import (
     logdet_quadrature,
 )
 from gjmsdet.zexpr import LOG2, ZetaExpr
+from norlund_oracle import f_odd_norlund
 
 
 def criterion(number, description):
@@ -277,10 +278,10 @@ def test_criterion_08_central_identity():
     assert not printed[(1, 0)].passed
 
 
-@criterion(9, "central-factorial route reproduces f_odd exactly for m <= 10")
+@criterion(9, "f_odd from central-factorial rows equals the Norlund oracle for m <= 10")
 def test_criterion_09_f_odd_central():
     for m in range(11):
-        assert f_odd_central(m) == f_odd(m), m
+        assert f_odd(m) == f_odd_norlund(m), m
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from gjmsdet import cli
 from gjmsdet.cli import main
 from gjmsdet.zexpr import ZetaExpr
 
@@ -59,11 +61,34 @@ def test_out_of_range_flags_exit_2(capsys):
         ("--f", ["tables", "--f", "-1"]),
         ("--d-norlund", ["tables", "--d-norlund", "0", "3"]),
         ("--d-norlund", ["tables", "--d-norlund", "3", "-1"]),
+        ("--tol", ["crosscheck", "--d-max", "3", "--tol", "-1"]),
+        ("--tol", ["crosscheck", "--d-max", "3", "--tol", "nan"]),
+        ("--tol", ["crosscheck", "--d-max", "3", "--tol", "inf"]),
+        ("abs_tol", ["quad", "--d", "5", "--k", "2", "--tol", "nan"]),
+        ("abs_tol", ["quad", "--d", "5", "--k", "2", "--tol", "inf"]),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:") and flag in err, (argv, err)
+
+
+def test_logdet_prints_coefficients_past_int_str_limit(capsys, monkeypatch):
+    # from d = 1667 exact coefficients exceed Python's default 4300-digit
+    # int-to-str limit; the CLI prints them and restores the limit after
+    coeff = 10**5000
+    monkeypatch.setattr(cli, "logdet_gjms", lambda d, k: ZetaExpr.log2(coeff))
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    digits = "1" + "0" * 5000
+    for fmt, expected in (
+        ("plain", f"= {digits}*log2\n"),
+        ("latex", f"{digits}\\,\\log 2\n"),
+        ("json", f'"coeff":"{digits}/1"'),
+    ):
+        code, out, err = run(capsys, "logdet", "--d", "2001", "--k", "1", "--format", fmt)
+        assert code == 0, err
+        assert expected in out, fmt
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
 
 
 def test_quad_reports_value_error_and_evals(capsys):

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gjmsdet.closed_form import (
     PrecisionContext,
-    eta_expr,
     evaluate,
     f_even,
     f_expr,
@@ -16,6 +17,7 @@ from gjmsdet.closed_form import (
 from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.exact import bernoulli
 from gjmsdet.zexpr import LOG2, ZetaExpr
+from norlund_oracle import logdet_paper_formula
 
 
 def zeta_euler_maclaurin_oracle(s, digits):
@@ -38,14 +40,6 @@ def zeta_euler_maclaurin_oracle(s, digits):
             )
             rising *= (s + 2 * j - 1) * (s + 2 * j)
         return +total
-
-
-def test_eta_values():
-    assert eta_expr(1) == ZetaExpr.log2(-1)
-    assert eta_expr(3) == ZetaExpr.zeta(3, Fraction(-3, 4))
-    assert eta_expr(5) == ZetaExpr.zeta(5, Fraction(-15, 16))
-    with pytest.raises(ValueError):
-        eta_expr(0)
 
 
 def test_f_even_values():
@@ -72,6 +66,18 @@ def test_f_odd_values():
     assert f9.coeff(5, -5) == Fraction(141, 128)
     assert f9.coeff(3, -3) == Fraction(3229, 6720)
     assert f9.coeff(LOG2, -1) == Fraction(35, 128)
+
+
+pairs_d_le_81 = st.integers(1, 40).flatmap(
+    lambda h: st.tuples(st.just(2 * h + 1), st.integers(1, h))
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(pairs_d_le_81)
+def test_logdet_matches_paper_formula_on_oracle_f(pair):
+    d, k = pair
+    assert logdet_gjms(d, k) == logdet_paper_formula(d, k)
 
 
 def test_f_monotone_decreasing_over_odd_indices():

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gjmsdet.exact import bernoulli, binomial
+from gjmsdet.exact import bernoulli
 
 
 def bernoulli_bruteforce(n_max):
@@ -13,8 +14,8 @@ def bernoulli_bruteforce(n_max):
     for m in range(1, n_max + 1):
         acc = Fraction(0)
         for j in range(m):
-            acc += binomial(m + 1, j) * out[j]
-        out.append(-acc / binomial(m + 1, m))
+            acc += comb(m + 1, j) * out[j]
+        out.append(-acc / comb(m + 1, m))
     return out
 
 
@@ -34,7 +35,7 @@ def test_bernoulli_matches_bruteforce_oracle():
 
 def test_bernoulli_defining_recursion_holds():
     for n in range(1, 41):
-        assert sum(binomial(n + 1, j) * bernoulli(j) for j in range(n + 1)) == 0
+        assert sum(comb(n + 1, j) * bernoulli(j) for j in range(n + 1)) == 0
 
 
 def test_odd_bernoulli_vanish():
@@ -47,22 +48,10 @@ def test_bernoulli_rejects_negative():
         bernoulli(-1)
 
 
-def test_binomial_examples():
-    assert binomial(7, 0) == 1
-    assert binomial(5, 2) == 10
-    assert binomial(4, 7) == 0
-    assert binomial(4, -1) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
 def test_pascal_identity():
     for n in range(1, 65):
         for k in range(1, n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+            assert comb(n, k) == comb(n - 1, k - 1) + comb(n - 1, k)
 
 
 rationals = st.fractions(

@@ -141,6 +141,16 @@ def test_quadrature_matches_closed_form_relative_d_le_41():
         assert abs(logdet_quadrature(d, k) - closed) <= 1e-10 * abs(closed), (d, k)
 
 
+def test_error_estimate_bounds_deviation_d_le_41():
+    # the reported error covers the actual deviation from the closed form and
+    # is itself small relative to the value, down to values near 1e-14
+    for d, k in all_valid_pairs(41):
+        res = logdet_quadrature_result(d, k)
+        closed = float(evaluate(logdet_gjms(d, k)))
+        assert abs(res.value - closed) <= res.error, (d, k)
+        assert res.error <= 3e-11 * abs(res.value), (d, k)
+
+
 def test_chebyshev_form_integrates_to_same_value():
     cfg = QuadratureConfig()
     for d, k in ((3, 1), (7, 3), (11, 4)):
