@@ -97,10 +97,10 @@ class ZetaExpr:
     def __add__(self, other: "ZetaExpr") -> "ZetaExpr":
         if not isinstance(other, ZetaExpr):
             return NotImplemented
-        return ZetaExpr(
-            [(a, p, c) for (a, p), c in self._terms.items()]
-            + [(a, p, c) for (a, p), c in other._terms.items()]
-        )
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            acc[key] = acc.get(key, 0) + c
+        return ZetaExpr._normalized(acc)
 
     def __sub__(self, other: "ZetaExpr") -> "ZetaExpr":
         return self + (-other)
@@ -111,14 +111,24 @@ class ZetaExpr:
     def __mul__(self, scalar) -> "ZetaExpr":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        scalar = Fraction(scalar)
-        return ZetaExpr([(a, p, c * scalar) for (a, p), c in self._terms.items()])
+        return ZetaExpr._normalized({k: c * scalar for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
     def mul_pi(self, pi_pow: int) -> "ZetaExpr":
         """Multiply by an integer power of pi (shift every term's exponent)."""
-        return ZetaExpr([(a, p + pi_pow, c) for (a, p), c in self._terms.items()])
+        shift = int(pi_pow)
+        return ZetaExpr._normalized(
+            {(a, p + shift): c for (a, p), c in self._terms.items()}
+        )
+
+    @classmethod
+    def _normalized(cls, terms: dict[tuple[Atom, int], Fraction]) -> "ZetaExpr":
+        """Wrap terms built from normalized operands: the keys are already
+        valid and the values Fractions, so only zeros are dropped."""
+        expr = object.__new__(cls)
+        object.__setattr__(expr, "_terms", {k: c for k, c in terms.items() if c})
+        return expr
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ZetaExpr):

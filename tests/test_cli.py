@@ -5,6 +5,7 @@ import pytest
 
 from gjmsdet import cli
 from gjmsdet.cli import main
+from gjmsdet.quadrature import QuadratureConfig
 from gjmsdet.zexpr import ZetaExpr
 
 
@@ -57,6 +58,9 @@ def test_out_of_range_flags_exit_2(capsys):
         ("--digits", ["logdet", "--d", "5", "--k", "2", "--digits", "0"]),
         ("--digits", ["logdet", "--d", "5", "--k", "2", "--digits", "-3"]),
         ("--digits", ["sweep", "--fixed-d", "5", "--digits", "0"]),
+        ("--digits", ["logdet", "--d", "5", "--k", "2", "--digits", "90"]),
+        ("--digits", ["logdet", "--d", "5", "--k", "2", "--digits", "51"]),
+        ("--digits", ["sweep", "--fixed-d", "5", "--digits", "80"]),
         ("--central", ["tables", "--central", "0"]),
         ("--f", ["tables", "--f", "-1"]),
         ("--d-norlund", ["tables", "--d-norlund", "0", "3"]),
@@ -120,6 +124,36 @@ def test_crosscheck_smallest(capsys):
     assert code == 0
     rows = [line for line in out.splitlines() if line.strip() and line.lstrip()[0].isdigit()]
     assert len(rows) == 1
+
+
+def test_crosscheck_runs_each_quadrature_once(capsys, monkeypatch):
+    # O(K) quadratures per dimension: the factor integrals j < k are summed
+    # cumulatively, not re-integrated for every k
+    mains, factors = [], []
+    main_q, factor_q = cli.logdet_quadrature_result, cli.logdet_factor_quadrature
+
+    def counted_main(d, k, cfg):
+        mains.append((d, k))
+        return main_q(d, k, cfg)
+
+    def counted_factor(d, j, cfg):
+        factors.append((d, j))
+        return factor_q(d, j, cfg)
+
+    monkeypatch.setattr(cli, "logdet_quadrature_result", counted_main)
+    monkeypatch.setattr(cli, "logdet_factor_quadrature", counted_factor)
+    code, out, _ = run(capsys, "crosscheck", "--d-max", "15")
+    assert code == 0
+    pairs = [(d, k) for d in range(3, 16, 2) for k in range(1, (d - 1) // 2 + 1)]
+    assert sorted(mains) == pairs
+    assert sorted(factors) == [(d, k - 1) for d, k in pairs]
+    rows = out.splitlines()[1:-1]
+    assert len(rows) == len(pairs)
+    for (d, k), row in zip(pairs, rows):
+        fields = row.split()
+        assert (int(fields[0]), int(fields[1])) == (d, k)
+        want = sum(factor_q(d, j, QuadratureConfig()) for j in range(k))
+        assert fields[5] == f"{want:.12e}", (d, k)
 
 
 def test_crosscheck_unreachable_tolerance_exits_1(capsys):
@@ -197,7 +231,48 @@ def test_precision_env_override(capsys, monkeypatch):
     assert "0.1046421441058079165" in out
 
 
+def test_digits_past_working_precision_name_both_settings(capsys, monkeypatch):
+    # digits past the working precision would be printed unchecked
+    code, _, err = run(capsys, "logdet", "--d", "5", "--k", "2", "--digits", "90")
+    assert code == 2
+    assert "--digits" in err and "GJMSDET_DIGITS=50" in err
+    code, out, _ = run(capsys, "logdet", "--d", "5", "--k", "2", "--digits", "50")
+    assert code == 0 and "~ 0.10464214410580791" in out
+    monkeypatch.setenv("GJMSDET_DIGITS", "100")
+    code, out100, _ = run(capsys, "logdet", "--d", "5", "--k", "2", "--digits", "90")
+    assert code == 0
+    monkeypatch.setenv("GJMSDET_DIGITS", "150")
+    _, out150, _ = run(capsys, "logdet", "--d", "5", "--k", "2", "--digits", "90")
+    assert out100 == out150  # all 90 digits checked (nstr drops a trailing 0)
+    assert len(out100.splitlines()[1].split("~ 0.")[1]) >= 85
+
+
 def test_env_digits_below_floor_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("GJMSDET_DIGITS", "5")
     code, _, err = run(capsys, "logdet", "--d", "5", "--k", "2")
     assert code == 2
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    sequence = (
+        ("logdet", "--d", "5", "--k", "2", "--digits", "20"),
+        ("logdet", "--d", "5", "--k", "2"),
+        ("logdet", "--d", "4", "--k", "1"),
+        ("sweep", "--fixed-k", "2", "--d-min", "5", "--d-max", "9"),
+        ("tables", "--f", "3"),
+        ("tables", "--central", "5"),
+    )
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", None)  # a newly built parser
+        fresh.append(run(capsys, *argv))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    shared = [run(capsys, *sequence[0])]
+    parser = cli._PARSER
+    for argv in sequence[1:]:
+        shared.append(run(capsys, *argv))
+        assert cli._PARSER is parser  # built once, then reused
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+    assert shared[1][1].splitlines()[1] == "  ~ 0.1046421441"  # default 10 digits
+    assert "t(5,5)=1" in shared[5][1] and "f_" not in shared[5][1]

@@ -2,8 +2,6 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gjmsdet.exact import bernoulli
 
@@ -47,19 +45,3 @@ def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
 
-
-def test_pascal_identity():
-    for n in range(1, 65):
-        for k in range(1, n + 1):
-            assert comb(n, k) == comb(n - 1, k - 1) + comb(n - 1, k)
-
-
-rationals = st.fractions(
-    min_value=-1000, max_value=1000, max_denominator=10**6
-)
-
-
-@given(rationals, rationals)
-def test_rational_roundtrip(a, b):
-    assert (a + b) - b == a
-    assert a.denominator > 0

@@ -87,3 +87,34 @@ def test_addition_commutes_and_roundtrips(t1, t2):
     assert a + b == b + a
     assert (a + b) - b == a
     assert ZetaExpr.from_json((a + b).to_json()) == a + b
+
+
+def _stored(expr):
+    """Stored terms; each coefficient a nonzero Fraction in lowest terms."""
+    terms = expr.terms()
+    for _, _, c in terms:
+        assert type(c) is Fraction and c != 0 and c.denominator > 0
+    return terms
+
+
+@given(term_lists, term_lists, coeffs, st.integers(-8, 8))
+def test_fast_algebra_matches_validating_constructor(t1, t2, q, p):
+    # + - * mul_pi merge normalized operands without the constructor's
+    # validation; each must give what the constructor gives from the
+    # combined or scaled term lists, hash alike and store no zeros
+    a, b = ZetaExpr(t1), ZetaExpr(t2)
+    neg_t2 = [(x, pp, -c) for x, pp, c in t2]
+    cases = (
+        (a + b, t1 + t2),
+        (a - b, t1 + neg_t2),
+        (q * a, [(x, pp, q * c) for x, pp, c in t1]),
+        (a * q, [(x, pp, c * q) for x, pp, c in t1]),
+        (a.mul_pi(p), [(x, pp + p, c) for x, pp, c in t1]),
+    )
+    for fast, term_list in cases:
+        slow = ZetaExpr(term_list)
+        assert _stored(fast) == _stored(slow)
+        assert fast == slow and hash(fast) == hash(slow)
+    assert (a + b) - b == a
+    assert (a * 0).is_zero() and (0 * a) == ZetaExpr.zero()
+    assert (a * Fraction(0)).is_zero()
