@@ -31,24 +31,24 @@ __all__ = [
 ]
 
 
-# rows x^[n] as ascending monomial coefficients, one growing list per parity,
-# seeded with x^[0] = 1 and x^[1] = x and extended by x^[n+2] = x^[n] (x^2 - n^2/4)
-_CENTRAL: tuple[list[tuple[Fraction, ...]], ...] = (
-    [(Fraction(1),)],
-    [(Fraction(0), Fraction(1))],
-)
+# rows 4^(n//2) x^[n] as ascending integer monomial coefficients, one growing
+# list per parity, seeded with x^[0] = 1 and x^[1] = x and extended by
+# x^[r+2] = x^[r] (x^2 - r^2/4), which on the scaled rows reads
+# row[p] = 4 last[p-2] - r^2 last[p]
+_CENTRAL: tuple[list[tuple[int, ...]], ...] = ([(1,)], [(0, 1)])
 
 
-def _central_poly(n: int) -> tuple[Fraction, ...]:
-    """Ascending monomial coefficients of x^[n], memoized up to the largest n."""
+def _central_poly(n: int) -> tuple[int, ...]:
+    """Ascending monomial coefficients of 4^(n//2) x^[n], memoized up to the
+    largest n."""
     rows = _CENTRAL[n % 2]
     while len(rows) <= n // 2:
         last = rows[-1]
-        r = 2 * len(rows) - 2 + n % 2  # last is x^[r]
-        shift = Fraction(r * r, 4)
-        row = [Fraction(0), Fraction(0), *last]
+        r = 2 * len(rows) - 2 + n % 2  # last is 4^(r//2) x^[r]
+        r2 = r * r
+        row = [0, 0, *(4 * c for c in last)]
         for p, c in enumerate(last):
-            row[p] -= shift * c
+            row[p] -= r2 * c
         rows.append(tuple(row))
     return rows[n // 2]
 
@@ -62,7 +62,7 @@ def central_t(n: int, k: int) -> Fraction:
         raise ValueError("k must be >= 0")
     if k > n:
         return Fraction(0)
-    return _central_poly(n)[k]
+    return Fraction(_central_poly(n)[k], 4 ** (n // 2))
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,12 @@ DEFAULT_SHOWN_DIGITS = 10
 
 def _precision() -> PrecisionContext:
     raw = os.environ.get(DIGITS_ENV)
-    if raw:
+    if not raw:
+        return PrecisionContext()
+    try:
         return PrecisionContext(decimal_digits=int(raw))
-    return PrecisionContext()
+    except ValueError:  # not an integer, or below the floor
+        raise ValueError(f"{DIGITS_ENV} must be an integer >= 15, got {raw!r}") from None
 
 
 def _require(flag: str, value, least) -> None:
@@ -105,6 +108,7 @@ def _cmd_quad(args) -> int:
 
 
 def _cmd_rule(args) -> int:
+    _require("--k", args.k, 1)
     d = args.d if args.d is not None else 2 * args.k + 1
     rule = product_rule(d, args.k)
     abstract = args.d is None
@@ -159,6 +163,7 @@ def _cmd_sweep(args) -> int:
             rows.append((d, k))
     else:
         k = args.fixed_k
+        _require("--fixed-k", k, 1)
         d_min = args.d_min if args.d_min is not None else 2 * k + 1
         if d_min % 2 == 0 or args.d_max is None or args.d_max < d_min:
             raise ValueError("invalid d range (need odd --d-min <= --d-max)")

@@ -24,7 +24,7 @@ from math import comb, factorial
 
 import mpmath as mp
 
-from .central_factorials import central_t
+from .central_factorials import _central_poly
 from .errors import validate_d_k
 from .norlund import d_norlund
 from .zexpr import LOG2, ONE, ZetaExpr
@@ -62,25 +62,28 @@ def f_even(m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _pi_f_odd(m: int) -> tuple[Fraction, ...]:
-    """pi f_{2m+1} as coefficients over (log 2, zeta(3)/pi^2, ..., zeta(2m+1)/pi^2m).
+def _pi_f_odd(m: int) -> tuple[int, tuple[int, ...]]:
+    """pi f_{2m+1} over (log 2, zeta(3)/pi^2, ..., zeta(2m+1)/pi^2m) as the
+    common denominator (2m)! 16^m and the integer numerators over it.
 
     The Norlund numbers D^(2m+1)_{2m-2n} are read off the central factorial
     row x^[2m+1]: the coefficient of zeta(2n+1)/pi^2n (of log 2 for n = 0) is
     (-1)^{m+n} 4^{m-n} (2n)! t(2m+1, 2n+1) / (2m)!, times 1 - 4^-n for n >= 1.
+    With the integer row 4^m x^[2m+1] its numerator is
+    (-1)^{m+n} 16^{m-n} (2n)! row[2n+1], times 4^n - 1 for n >= 1.
     """
+    row = _central_poly(2 * m + 1)
     out = []
     for n in range(m + 1):
-        c = Fraction((-1) ** (m + n) * 4 ** (m - n) * factorial(2 * n), factorial(2 * m))
-        c *= central_t(2 * m + 1, 2 * n + 1)
-        out.append(c * (1 - Fraction(1, 4**n)) if n else c)
-    return tuple(out)
+        c = (-1) ** (m + n) * 16 ** (m - n) * factorial(2 * n) * row[2 * n + 1]
+        out.append(c * (4**n - 1) if n else c)
+    return factorial(2 * m) * 16**m, tuple(out)
 
 
 def _expr(coeffs, pi_pow: int) -> ZetaExpr:
     """pi^pi_pow times the dense vector coeffs over (log 2, zeta(3)/pi^2, ...)."""
-    return ZetaExpr(
-        (2 * n + 1 if n else LOG2, pi_pow - 2 * n, c) for n, c in enumerate(coeffs)
+    return ZetaExpr._normalized(
+        {(2 * n + 1 if n else LOG2, pi_pow - 2 * n): c for n, c in enumerate(coeffs)}
     )
 
 
@@ -95,7 +98,8 @@ def f_odd(m: int) -> ZetaExpr:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _expr(_pi_f_odd(m), -1)
+    den, row = _pi_f_odd(m)
+    return _expr((Fraction(c, den) for c in row), -1)
 
 
 def f_expr(m: int) -> ZetaExpr:
@@ -113,20 +117,27 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
 
     Every f in the formula has odd index d + 2j - 2k = 2(m0 + j) + 1, so the
     sum is a weighted sum of the dense vectors pi f_{2m+1}, m0 <= m <= m0 + k.
+    It is summed in integers over the top vector's denominator, which every
+    lower one divides.
     """
     validate_d_k(d, k)
     m0 = (d - 1) // 2 - k
-    weights = [Fraction(0)] * (k + 1)
+    # 4^k times the weights C(2k-1-j, j) (-1/4)^j of the f-differences
+    weights = [0] * (k + 1)
     for j in range(k):
-        c = comb(2 * k - 1 - j, j) * Fraction(-1, 4) ** j
+        c = comb(2 * k - 1 - j, j) * (-1) ** j * 4 ** (k - j)
         weights[j] += c
         weights[j + 1] -= c
-    acc = [Fraction(0)] * (m0 + k + 1)
+    top_den, top = _pi_f_odd(m0 + k)
+    acc = [0] * len(top)
     for j, w in enumerate(weights):
-        for n, c in enumerate(_pi_f_odd(m0 + j)):
+        den, row = _pi_f_odd(m0 + j)
+        w *= top_den // den
+        for n, c in enumerate(row):
             acc[n] += w * c
-    prefactor = Fraction((-1) ** ((d - 1) // 2 + k), 2 ** (d - 2 * k))
-    return _expr((prefactor * c for c in acc), 0)
+    # the prefactor's sign and 2^(d-2k), the weights' 4^k
+    den = (-1) ** ((d - 1) // 2 + k) * 2**d * top_den
+    return _expr((Fraction(c, den) for c in acc), 0)
 
 
 # -- numeric evaluation ---------------------------------------------------
@@ -140,16 +151,24 @@ def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
         return mp.zeta(s)
 
 
+@lru_cache(maxsize=None)
+def _basis(atom, pi_pow: int, ctx: PrecisionContext) -> mp.mpf:
+    """atom * pi^pi_pow at the working precision evaluate uses for ctx."""
+    with mp.workdps(ctx.decimal_digits + 10):
+        if atom == ONE:
+            base = mp.mpf(1)
+        elif atom == LOG2:
+            base = mp.log(2)
+        else:
+            base = zeta_odd(atom, ctx)
+        return base * mp.pi**pi_pow
+
+
 def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
     """Numeric value of an exact expression at the context's precision."""
     with mp.workdps(ctx.decimal_digits + 10):
         total = mp.mpf(0)
         for atom, pi_pow, coeff in expr.terms():
-            if atom == ONE:
-                base = mp.mpf(1)
-            elif atom == LOG2:
-                base = mp.log(2)
-            else:
-                base = zeta_odd(atom, ctx)
-            total += mp.mpf(coeff.numerator) / coeff.denominator * base * mp.pi**pi_pow
+            q = mp.mpf(coeff.numerator) / coeff.denominator
+            total += q * _basis(atom, pi_pow, ctx)
         return +total

@@ -106,7 +106,6 @@ def product_rule(d: int, k: int) -> ProductRule:
 def logdet_via_product(d: int, k: int) -> ZetaExpr:
     """Exact log det P_2k(d) summed from conformal-Laplacian factors."""
     rule = product_rule(d, k)
-    acc = ZetaExpr.zero()
-    for dim, exp in rule.factors:
-        acc = acc + exp * logdet_gjms(dim, 1)
-    return acc
+    return ZetaExpr._weighted_sum(
+        (exp, logdet_gjms(dim, 1)) for dim, exp in rule.factors
+    )

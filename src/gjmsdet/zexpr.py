@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 __all__ = ["Atom", "ONE", "LOG2", "ZetaExpr"]
@@ -129,6 +130,22 @@ class ZetaExpr:
         expr = object.__new__(cls)
         object.__setattr__(expr, "_terms", {k: c for k, c in terms.items() if c})
         return expr
+
+    @classmethod
+    def _weighted_sum(cls, pairs: Iterable[tuple[int, "ZetaExpr"]]) -> "ZetaExpr":
+        """Sum of weight * expr over (int weight, expr) pairs, in integers:
+        each key keeps one numerator over the lcm of its denominators so far
+        (one gcd per term) and becomes one Fraction at the end."""
+        acc: dict[tuple[Atom, int], tuple[int, int]] = {}
+        for weight, expr in pairs:
+            for key, c in expr._terms.items():
+                num, den = weight * c.numerator, c.denominator
+                if key in acc:
+                    n0, d0 = acc[key]
+                    g = gcd(d0, den)
+                    num, den = n0 * (den // g) + num * (d0 // g), d0 // g * den
+                acc[key] = (num, den)
+        return cls._normalized({key: Fraction(n, q) for key, (n, q) in acc.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ZetaExpr):

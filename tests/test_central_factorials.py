@@ -2,7 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from gjmsdet.central_factorials import central_t, verify_central_norlund_identity
+from gjmsdet.central_factorials import (
+    _central_poly,
+    central_t,
+    verify_central_norlund_identity,
+)
 from gjmsdet.closed_form import f_odd
 from norlund_oracle import f_odd_norlund
 
@@ -34,6 +38,14 @@ def test_central_t_against_expansion_oracle():
         for k in range(n + 1):
             expected = oracle[k] if k < len(oracle) else Fraction(0)
             assert central_t(n, k) == expected, (n, k)
+
+
+def test_integer_rows_are_scaled_expansions():
+    # the memoized rows are 4^(n//2) x^[n] in integers, for both parities
+    for n in range(1, 31):
+        row = _central_poly(n)
+        assert all(type(c) is int for c in row), n
+        assert list(row) == [4 ** (n // 2) * c for c in expand_central_poly(n)], n
 
 
 def test_central_t_vanishing_pattern():

@@ -70,6 +70,8 @@ def test_out_of_range_flags_exit_2(capsys):
         ("--tol", ["crosscheck", "--d-max", "3", "--tol", "inf"]),
         ("abs_tol", ["quad", "--d", "5", "--k", "2", "--tol", "nan"]),
         ("abs_tol", ["quad", "--d", "5", "--k", "2", "--tol", "inf"]),
+        ("--k", ["rule", "--k", "0"]),
+        ("--fixed-k", ["sweep", "--fixed-k", "0", "--d-max", "5"]),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -251,6 +253,20 @@ def test_env_digits_below_floor_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("GJMSDET_DIGITS", "5")
     code, _, err = run(capsys, "logdet", "--d", "5", "--k", "2")
     assert code == 2
+
+
+def test_invalid_env_digits_name_the_variable(capsys, monkeypatch):
+    for raw in ("abc", "1e9", "14"):
+        monkeypatch.setenv("GJMSDET_DIGITS", raw)
+        for argv in (
+            ["logdet", "--d", "5", "--k", "2"],
+            ["sweep", "--fixed-k", "2", "--d-max", "9"],
+            ["crosscheck", "--d-max", "3"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err == f"error: GJMSDET_DIGITS must be an integer >= 15, got {raw!r}\n"
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):

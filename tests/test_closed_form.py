@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gjmsdet.closed_form import (
     PrecisionContext,
+    _basis,
     evaluate,
     f_even,
     f_expr,
@@ -16,7 +18,7 @@ from gjmsdet.closed_form import (
 )
 from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.exact import bernoulli
-from gjmsdet.zexpr import LOG2, ZetaExpr
+from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
 from norlund_oracle import logdet_paper_formula
 
 
@@ -182,6 +184,37 @@ def test_evaluate_precision_scales_with_context():
     lo = evaluate(expr, PrecisionContext(decimal_digits=20))
     hi = evaluate(expr, PrecisionContext(decimal_digits=60))
     assert abs(lo - hi) < mp.mpf("1e-19")
+
+
+def test_cached_basis_values_follow_the_context():
+    # atom * pi^p is cached per context: switching precision back and forth
+    # must give what a run from empty caches gives at each precision (a cache
+    # filled at 20 digits and read at 60 would be off from the 31st digit)
+    expr = logdet_gjms(21, 4) + f_odd(6) + ZetaExpr.const(Fraction(3, 7), 2)
+    digits = (20, 60, 20, 60)
+    _basis.cache_clear()
+    cached = [evaluate(expr, PrecisionContext(n)) for n in digits]
+    for n, value in zip(digits, cached):
+        _basis.cache_clear()
+        zeta_odd.cache_clear()
+        fresh = evaluate(expr, PrecisionContext(n))
+        assert fresh == value and repr(fresh) == repr(value), n
+    assert abs(cached[0] - cached[1]) < mp.mpf("1e-19") and cached[0] != cached[1]
+
+
+def test_evaluate_matches_direct_high_precision_sum():
+    rng = random.Random(2014)
+    for _ in range(20):
+        d = rng.randrange(3, 202, 2)
+        k = rng.randint(1, (d - 1) // 2)
+        expr = logdet_gjms(d, k)
+        with mp.workdps(150):
+            direct = mp.mpf(0)
+            for atom, pi_pow, c in expr.terms():
+                base = mp.mpf(1) if atom == ONE else mp.log(2) if atom == LOG2 else mp.zeta(atom)
+                direct += mp.mpf(c.numerator) / c.denominator * base * mp.pi**pi_pow
+            value = evaluate(expr, PrecisionContext(60))
+            assert abs(value - direct) <= mp.mpf("1e-60") * abs(direct), (d, k)
 
 
 def test_paneitz_magnitude_decreasing_in_dimension():

@@ -118,3 +118,22 @@ def test_fast_algebra_matches_validating_constructor(t1, t2, q, p):
     assert (a + b) - b == a
     assert (a * 0).is_zero() and (0 * a) == ZetaExpr.zero()
     assert (a * Fraction(0)).is_zero()
+
+
+weighted_terms = st.lists(st.tuples(st.integers(-6, 6), term_lists), max_size=6)
+
+
+@given(weighted_terms, st.integers(-6, 6), term_lists)
+def test_weighted_sum_matches_fold(pairs, w, t):
+    # the integer common-denominator sum equals the + / * fold of the same
+    # terms; a term added with w and -w cancels to nothing
+    pairs = [(weight, ZetaExpr(ts)) for weight, ts in pairs]
+    pairs += [(w, ZetaExpr(t)), (-w, ZetaExpr(t))]
+    fold = ZetaExpr.zero()
+    for weight, e in pairs:
+        fold = fold + weight * e
+    fast = ZetaExpr._weighted_sum(pairs)
+    assert _stored(fast) == _stored(fold)
+    assert fast == fold and hash(fast) == hash(fold)
+    assert ZetaExpr._weighted_sum([(w, ZetaExpr(t)), (-w, ZetaExpr(t))]).is_zero()
+    assert ZetaExpr._weighted_sum([]).is_zero()
