@@ -69,29 +69,34 @@ def integrand_main(x, d: int, k: int):
     Written as 2^{d-1} e^{(k-d/2)x} (1-e^{-x})(1-e^{-2kx}) / (1+e^{-x})^{d+1}
     times the Lorentzian factor; accepts scalars or arrays.
     """
-    x = np.asarray(x, dtype=float)
-    t = np.exp(-x)
-    grow = np.exp((k - d / 2) * x)
-    num = (-np.expm1(-x)) * (-np.expm1(-2 * k * x))
-    return (np.pi / (x * x + _PI2)) * 2.0 ** (d - 1) * grow * num / (1.0 + t) ** (d + 1)
+    return _scaled_integrand(x, k, d + 1)
 
 
 def integrand_factor(x, d: int, j: int):
     """Integrand (-1)^j pi/(x^2+pi^2) sinh(x/2) sinh(a_j x) / cosh^d(x/2),
     a_j = j + 1/2, in exponentially scaled form."""
-    x = np.asarray(x, dtype=float)
-    t = np.exp(-x)
-    alpha = j + 0.5
-    grow = np.exp((alpha + 0.5 - d / 2) * x)
-    num = (-np.expm1(-x)) * (-np.expm1(-2 * alpha * x))
-    return (
-        (-1) ** j
-        * (np.pi / (x * x + _PI2))
-        * 2.0 ** (d - 2)
-        * grow
-        * num
-        / (1.0 + t) ** d
-    )
+    return (-1) ** j * _scaled_integrand(x, j + 0.5, d)
+
+
+def _scaled_integrand(x, freq, power: int):
+    """pi/(x^2+pi^2) sinh(x/2) sinh(freq x) / cosh^power(x/2), written as the
+    Lorentzian factor times 2^{power-2} e^{gx} (1-e^{-x})(1-e^{-2 freq x}) /
+    (1+e^{-x})^power, g = freq + 1/2 - power/2.
+
+    A float x (what QUADPACK passes) is evaluated with ``math``, anything
+    else as a float array with numpy: numpy's per-call overhead on a single
+    number is many times the arithmetic.  Raising 1+e^{-x} to -power rather
+    than dividing by its power, which reaches 2^1024 at d = 1023, keeps a
+    float x near 0 from overflowing.
+    """
+    if isinstance(x, float):
+        xp = math
+    else:
+        xp, x = np, np.asarray(x, dtype=float)
+    t = xp.exp(-x)
+    grow = xp.exp((freq + 0.5 - power / 2) * x)
+    num = (-xp.expm1(-x)) * (-xp.expm1(-2 * freq * x))
+    return (math.pi / (x * x + _PI2)) * 2.0 ** (power - 2) * grow * num * (1.0 + t) ** -power
 
 
 def _integrate(

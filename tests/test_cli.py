@@ -1,5 +1,10 @@
+import dataclasses
 import json
+import os
+import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +77,8 @@ def test_out_of_range_flags_exit_2(capsys):
         ("abs_tol", ["quad", "--d", "5", "--k", "2", "--tol", "inf"]),
         ("--k", ["rule", "--k", "0"]),
         ("--fixed-k", ["sweep", "--fixed-k", "0", "--d-max", "5"]),
+        ("--k-min", ["sweep", "--fixed-d", "5", "--k-min", "0"]),
+        ("--k-max", ["sweep", "--fixed-d", "9", "--k-min", "3", "--k-max", "2"]),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -119,6 +126,9 @@ def test_crosscheck_small(capsys):
     rows = [line for line in out.splitlines() if line.strip() and line.lstrip()[0].isdigit()]
     assert len(rows) == 6
     assert "OK" in out
+    summary = out.splitlines()[-1]
+    assert summary.startswith("OK: max deviation ")
+    assert ", max relative deviation " in summary
 
 
 def test_crosscheck_smallest(capsys):
@@ -162,6 +172,65 @@ def test_crosscheck_unreachable_tolerance_exits_1(capsys):
     code, out, _ = run(capsys, "crosscheck", "--d-max", "3", "--tol", "1e-30")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_crosscheck_relative_gate_catches_small_absolute_skew(capsys, monkeypatch):
+    # 5e-10 passes the absolute 1e-9 gate but is far above 1e-10 of every
+    # value at d = 15
+    main_q = cli.logdet_quadrature_result
+
+    def skewed(*args):
+        res = main_q(*args)
+        return dataclasses.replace(res, value=res.value + 5e-10)
+
+    monkeypatch.setattr(cli, "logdet_quadrature_result", skewed)
+    code, out, _ = run(capsys, "crosscheck", "--d-max", "15")
+    assert code == 1
+    summary = out.splitlines()[-1]
+    assert summary.startswith("FAIL: max deviation ")
+    assert "within tolerance 1.00e-09" in summary
+    assert summary.endswith("exceeds tolerance 1.00e-10")
+
+
+def test_crosscheck_evaluates_product_only_when_it_differs(capsys, monkeypatch):
+    calls = []
+    evaluate = cli.evaluate
+
+    def counted(expr, ctx):
+        calls.append(expr)
+        return evaluate(expr, ctx)
+
+    monkeypatch.setattr(cli, "evaluate", counted)
+    code, same, _ = run(capsys, "crosscheck", "--d-max", "27")
+    assert code == 0
+    rows = same.splitlines()[1:-1]
+    assert len(calls) == len(rows)  # the equal product reuses the closed form
+
+    # 2^-64 log 2 is 2.2e-10 of |log det P_2(27)|: only the relative gate sees it
+    product = cli.logdet_via_product
+    bump = ZetaExpr.log2(Fraction(1, 2**64))
+    monkeypatch.setattr(cli, "logdet_via_product", lambda d, k: product(d, k) + bump)
+    calls.clear()
+    code, bumped, _ = run(capsys, "crosscheck", "--d-max", "27")
+    assert code == 1
+    assert len(calls) == 2 * len(rows)
+    bumped_rows = bumped.splitlines()[1:-1]
+    assert [r.split()[4] for r in rows] != [r.split()[4] for r in bumped_rows]
+    for row, bumped_row in zip(rows, bumped_rows):
+        assert row.split()[:4] == bumped_row.split()[:4]
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gjmsdet.cli", "quad", "--d", "9", "--k", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader leaves before the command writes
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
 def test_sweep_fixed_k_csv(capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gjmsdet.closed_form import logdet_gjms
 from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
@@ -92,3 +94,15 @@ def test_via_product_equals_closed_form_everywhere():
     for d in range(3, 22, 2):
         for k in range(1, (d - 1) // 2 + 1):
             assert logdet_via_product(d, k) == logdet_gjms(d, k), (d, k)
+
+
+pairs_d_le_201 = st.integers(1, 100).flatmap(
+    lambda h: st.tuples(st.just(2 * h + 1), st.integers(1, h))
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(pairs_d_le_201)
+def test_via_product_equals_closed_form_up_to_201(pair):
+    d, k = pair
+    assert logdet_via_product(d, k) == logdet_gjms(d, k)

@@ -122,6 +122,32 @@ def test_chebyshev_form_agrees_pointwise():
         assert np.max(np.abs(a - b) / scale) < 1e-13, (d, k)
 
 
+def test_float_and_array_paths_agree():
+    # QUADPACK passes floats, evaluated with math; arrays go through numpy.
+    # The two exp implementations may differ in the last bit, and
+    # (1+e^{-x})^power multiplies that by up to power, so the bound is 1e-15
+    # plus one unit in the last place of 1+e^{-x} per unit of power
+    xs = np.concatenate([np.geomspace(1e-300, 1e4, 601), np.linspace(1e-3, 60.0, 601)])
+    for f, d, order, power in (
+        (integrand_main, 3, 1, 4),
+        (integrand_main, 41, 1, 42),
+        (integrand_main, 41, 20, 42),
+        (integrand_main, 1023, 1, 1024),
+        (integrand_main, 1023, 511, 1024),
+        (integrand_factor, 3, 0, 3),
+        (integrand_factor, 41, 19, 41),
+        (integrand_factor, 1023, 0, 1023),
+        (integrand_factor, 1023, 510, 1023),
+    ):
+        tol = 1e-15 + power * 2.0**-52
+        arr = f(xs, d, order)
+        for x, a in zip(xs.tolist(), arr.tolist()):
+            s = f(x, d, order)
+            assert type(s) is float
+            assert (s == a == 0.0) or abs(s - a) <= tol * max(abs(s), abs(a)), (
+                f.__name__, d, order, x, s, a)
+
+
 def test_logdet_reference_values():
     assert abs(logdet_quadrature(3, 1) - 0.1276141094) < 2e-10
     assert abs(logdet_quadrature(7, 2) - (-0.008297)) < 5e-7
