@@ -166,19 +166,29 @@ def _cmd_crosscheck(args) -> int:
 
 def _cmd_sweep(args) -> int:
     ctx = _display_precision(args.digits)
+    if args.fixed_d is not None:
+        fixed, stray = "--fixed-d", {"--d-min": args.d_min, "--d-max": args.d_max}
+    else:
+        fixed, stray = "--fixed-k", {"--k-min": args.k_min, "--k-max": args.k_max}
+    for flag, value in stray.items():
+        if value is not None:
+            raise ValueError(f"{flag} does not apply with {fixed}")
     rows = []
     if args.fixed_d is not None:
         d = args.fixed_d
-        _require("--k-min", args.k_min, 1)
+        k_min = args.k_min if args.k_min is not None else 1
+        _require("--k-min", k_min, 1)
         k_max = args.k_max if args.k_max is not None else (d - 1) // 2
-        _require("--k-max", k_max, args.k_min)
-        for k in range(args.k_min, k_max + 1):
+        _require("--k-max", k_max, k_min)
+        for k in range(k_min, k_max + 1):
             rows.append((d, k))
     else:
         k = args.fixed_k
         _require("--fixed-k", k, 1)
+        if args.d_max is None:
+            raise ValueError("--d-max is required with --fixed-k")
         d_min = args.d_min if args.d_min is not None else 2 * k + 1
-        if d_min % 2 == 0 or args.d_max is None or args.d_max < d_min:
+        if d_min % 2 == 0 or args.d_max < d_min:
             raise ValueError("invalid d range (need odd --d-min <= --d-max)")
         for d in range(d_min, args.d_max + 1, 2):
             rows.append((d, k))
@@ -303,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--fixed-d", type=int, default=None)
     group.add_argument("--fixed-k", type=int, default=None)
-    p.add_argument("--k-min", type=int, default=1)
+    p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--d-min", type=int, default=None)
     p.add_argument("--d-max", type=int, default=None)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import mpmath as mp
 
@@ -152,8 +152,15 @@ def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
 
 
 @lru_cache(maxsize=None)
-def _basis(atom, pi_pow: int, ctx: PrecisionContext) -> mp.mpf:
-    """atom * pi^pi_pow at the working precision evaluate uses for ctx."""
+def _basis(ctx: PrecisionContext) -> dict:
+    """Table (atom, pi_pow) -> _basis_value(atom, pi_pow, ctx), filled by
+    evaluate on first use: one context hash per call, not one per term."""
+    return {}
+
+
+def _basis_value(atom, pi_pow: int, ctx: PrecisionContext) -> tuple[int, int]:
+    """Signed mantissa and exponent of atom * pi^pi_pow at the working
+    precision evaluate uses for ctx."""
     with mp.workdps(ctx.decimal_digits + 10):
         if atom == ONE:
             base = mp.mpf(1)
@@ -161,14 +168,29 @@ def _basis(atom, pi_pow: int, ctx: PrecisionContext) -> mp.mpf:
             base = mp.log(2)
         else:
             base = zeta_odd(atom, ctx)
-        return base * mp.pi**pi_pow
+        return (base * mp.pi**pi_pow).man_exp
 
 
 def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
-    """Numeric value of an exact expression at the context's precision."""
+    """Numeric value of an exact expression at the context's precision.
+
+    With the basis values b_i = man_i 2^exp_i and the coefficients c_i =
+    num_i / den_i over their common denominator D, the sum of c_i b_i is
+    2^e_min / D times the integer sum of num_i (D / den_i) man_i
+    2^(exp_i - e_min), e_min the least exponent.  That sum is exact, so the
+    value is rounded once, in the final division, after the basis values.
+    """
+    basis = _basis(ctx)
+    terms = []
+    # term order does not matter to an exact sum
+    for key, c in expr._terms.items():
+        if key not in basis:
+            basis[key] = _basis_value(*key, ctx)
+        terms.append((c.numerator, c.denominator, *basis[key]))
+    if not terms:
+        return mp.mpf(0)
+    den = lcm(*[q for _, q, _, _ in terms])
+    e_min = min([e for _, _, _, e in terms])
+    total = sum(n * (den // q) * m << (e - e_min) for n, q, m, e in terms)
     with mp.workdps(ctx.decimal_digits + 10):
-        total = mp.mpf(0)
-        for atom, pi_pow, coeff in expr.terms():
-            q = mp.mpf(coeff.numerator) / coeff.denominator
-            total += q * _basis(atom, pi_pow, ctx)
-        return +total
+        return mp.ldexp(mp.fdiv(total, den), e_min)

@@ -170,12 +170,13 @@ class ZetaExpr:
             if pi_pow:
                 factors.append(f"pi^{pi_pow}" if pi_pow != 1 else "pi")
             body = "*".join(factors)
-            mag = abs(coeff)
+            num, den = coeff.numerator, coeff.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if body:
-                piece = body if mag == 1 else f"{mag}*{body}"
+                piece = body if mag == "1" else f"{mag}*{body}"
             else:
-                piece = str(mag)
-            sign = "-" if coeff < 0 else "+"
+                piece = mag
+            sign = "-" if num < 0 else "+"
             parts.append((sign, piece))
         first_sign, first = parts[0]
         out = (first if first_sign == "+" else "-" + first)
@@ -192,13 +193,9 @@ class ZetaExpr:
             return "0"
         out = ""
         for atom, pi_pow, coeff in self.terms():
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            cs = (
-                str(mag.numerator)
-                if mag.denominator == 1
-                else rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            )
+            num, den = coeff.numerator, coeff.denominator
+            sign = "-" if num < 0 else "+"
+            cs = str(abs(num)) if den == 1 else rf"\frac{{{abs(num)}}}{{{den}}}"
             if atom == ONE:
                 body = _pi_factor_latex(pi_pow)
             elif atom == LOG2:
@@ -208,7 +205,7 @@ class ZetaExpr:
                     body = rf"\frac{{\zeta({atom})}}{{\pi^{{{-pi_pow}}}}}"
                 else:
                     body = rf"\zeta({atom})" + _pi_factor_latex(pi_pow)
-            piece = cs if body == "" else (rf"{cs}\,{body}" if mag != 1 else body)
+            piece = cs if body == "" else (rf"{cs}\,{body}" if cs != "1" else body)
             if out == "":
                 out = piece if sign == "+" else "-" + piece
             else:

@@ -79,6 +79,11 @@ def test_out_of_range_flags_exit_2(capsys):
         ("--fixed-k", ["sweep", "--fixed-k", "0", "--d-max", "5"]),
         ("--k-min", ["sweep", "--fixed-d", "5", "--k-min", "0"]),
         ("--k-max", ["sweep", "--fixed-d", "9", "--k-min", "3", "--k-max", "2"]),
+        ("--d-max", ["sweep", "--fixed-d", "5", "--d-max", "99"]),
+        ("--d-min", ["sweep", "--fixed-d", "5", "--d-min", "3"]),
+        ("--k-max", ["sweep", "--fixed-k", "1", "--d-max", "7", "--k-max", "9"]),
+        ("--k-min", ["sweep", "--fixed-k", "1", "--d-max", "7", "--k-min", "1"]),
+        ("--d-max is required", ["sweep", "--fixed-k", "1", "--d-min", "3"]),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

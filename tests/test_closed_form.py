@@ -20,6 +20,7 @@ from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.exact import bernoulli
 from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
 from norlund_oracle import logdet_paper_formula
+from test_zexpr import atoms, coeffs, term_lists
 
 
 def zeta_euler_maclaurin_oracle(s, digits):
@@ -215,6 +216,52 @@ def test_evaluate_matches_direct_high_precision_sum():
                 direct += mp.mpf(c.numerator) / c.denominator * base * mp.pi**pi_pow
             value = evaluate(expr, PrecisionContext(60))
             assert abs(value - direct) <= mp.mpf("1e-60") * abs(direct), (d, k)
+
+
+def _direct_sums(expr):
+    """sum_i c_i b_i and sum_i |c_i b_i| over the terms c_i * atom * pi^p of
+    expr, b_i = atom * pi^p, at 150 digits."""
+    with mp.workdps(150):
+        terms = [
+            mp.mpf(c.numerator) / c.denominator
+            * (mp.mpf(1) if atom == ONE else mp.log(2) if atom == LOG2 else mp.zeta(atom))
+            * mp.pi**pi_pow
+            for atom, pi_pow, c in expr.terms()
+        ]
+        return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+
+
+# coefficients scaled by 10^-300 ... 10^300
+scaled_term_lists = st.lists(
+    st.tuples(atoms, st.integers(-8, 8), coeffs, st.integers(-300, 300)).map(
+        lambda t: (t[0], t[1], t[2] * Fraction(10) ** t[3])
+    ),
+    max_size=8,
+)
+
+
+@settings(deadline=None)
+@given(term_lists, scaled_term_lists, st.integers(1, 80))
+def test_evaluate_matches_direct_sum_on_arbitrary_expressions(plain, scaled, cancel):
+    # mixed atoms, pi powers of both signs, huge and tiny coefficients, and a
+    # constant that cancels the value down to about 10^-cancel of itself:
+    # evaluate errs by at most a few units in the last place of its working
+    # precision (digits + 10) relative to sum_i |c_i b_i| + |value|
+    expr = ZetaExpr(plain) + ZetaExpr(scaled)
+    value, _ = _direct_sums(expr)
+    with mp.workdps(150):
+        expr = expr - ZetaExpr.const(Fraction(mp.nstr(value, cancel)))
+        direct, magnitude = _direct_sums(expr)
+        for digits in (20, 60):
+            got = evaluate(expr, PrecisionContext(digits))
+            bound = mp.mpf(10) ** -(digits + 9) * (magnitude + abs(direct))
+            assert abs(got - direct) <= bound, (digits, got, direct)
+
+
+def test_evaluate_zero_is_exactly_zero():
+    for digits in (20, 60):
+        value = evaluate(ZetaExpr.zero(), PrecisionContext(digits))
+        assert isinstance(value, mp.mpf) and value == 0
 
 
 def test_paneitz_magnitude_decreasing_in_dimension():
