@@ -17,6 +17,7 @@ import sys
 
 import mpmath as mp
 
+from . import quadrature
 from .central_factorials import central_t
 from .closed_form import (
     PrecisionContext,
@@ -24,7 +25,7 @@ from .closed_form import (
     f_expr,
     logdet_gjms,
 )
-from .errors import DivergentDeterminantError, InvalidDimensionError
+from .errors import DivergentDeterminantError, Float64RangeError, InvalidDimensionError
 from .norlund import d_norlund
 from .product_rules import logdet_via_product, product_rule
 from .quadrature import (
@@ -126,6 +127,12 @@ def _cmd_rule(args) -> int:
 def _cmd_crosscheck(args) -> int:
     if args.d_max < 3 or args.d_max % 2 == 0:
         raise InvalidDimensionError("--d-max must be an odd integer >= 3")
+    if args.d_max > quadrature.D_MAX_FLOAT64:
+        # fail before the rows below it, which take hours near the limit
+        raise Float64RangeError(
+            f"--d-max: quadrature works in float64 and needs d <= "
+            f"{quadrature.D_MAX_FLOAT64}, got d={args.d_max}"
+        )
     _require("--tol", args.tol, 0)
     ctx = _precision()
     cfg = QuadratureConfig()

@@ -27,7 +27,7 @@ import mpmath as mp
 from .central_factorials import _central_poly
 from .errors import validate_d_k
 from .norlund import d_norlund
-from .zexpr import LOG2, ONE, ZetaExpr
+from .zexpr import LOG2, ONE, ZetaExpr, _term
 
 __all__ = [
     "PrecisionContext",
@@ -80,13 +80,6 @@ def _pi_f_odd(m: int) -> tuple[int, tuple[int, ...]]:
     return factorial(2 * m) * 16**m, tuple(out)
 
 
-def _expr(coeffs, pi_pow: int) -> ZetaExpr:
-    """pi^pi_pow times the dense vector coeffs over (log 2, zeta(3)/pi^2, ...)."""
-    return ZetaExpr._normalized(
-        {(2 * n + 1 if n else LOG2, pi_pow - 2 * n): c for n, c in enumerate(coeffs)}
-    )
-
-
 @lru_cache(maxsize=None)
 def f_odd(m: int) -> ZetaExpr:
     """f_{2m+1} as an exact expression over {log 2, zeta(odd)}.
@@ -99,7 +92,7 @@ def f_odd(m: int) -> ZetaExpr:
     if m < 0:
         raise ValueError("m must be >= 0")
     den, row = _pi_f_odd(m)
-    return _expr((Fraction(c, den) for c in row), -1)
+    return ZetaExpr(-1, (0, *[Fraction(c, den) for c in row]))
 
 
 def f_expr(m: int) -> ZetaExpr:
@@ -107,7 +100,7 @@ def f_expr(m: int) -> ZetaExpr:
     if m < 0:
         raise ValueError("m must be >= 0")
     if m % 2 == 0:
-        return ZetaExpr.const(f_even(m // 2))
+        return ZetaExpr(0, (f_even(m // 2),))
     return f_odd((m - 1) // 2)
 
 
@@ -137,7 +130,7 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
             acc[n] += w * c
     # the prefactor's sign and 2^(d-2k), the weights' 4^k
     den = (-1) ** ((d - 1) // 2 + k) * 2**d * top_den
-    return _expr((Fraction(c, den) for c in acc), 0)
+    return ZetaExpr(0, (0, *[Fraction(c, den) for c in acc]))
 
 
 # -- numeric evaluation ---------------------------------------------------
@@ -153,8 +146,9 @@ def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
 
 @lru_cache(maxsize=None)
 def _basis(ctx: PrecisionContext) -> dict:
-    """Table (atom, pi_pow) -> _basis_value(atom, pi_pow, ctx), filled by
-    evaluate on first use: one context hash per call, not one per term."""
+    """Table record pi power -> [_basis_value of slot n's term for n = 0,
+    1, ...], grown by evaluate on first use: one context hash per call, not
+    one per term."""
     return {}
 
 
@@ -180,13 +174,11 @@ def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.m
     2^(exp_i - e_min), e_min the least exponent.  That sum is exact, so the
     value is rounded once, in the final division, after the basis values.
     """
-    basis = _basis(ctx)
-    terms = []
-    # term order does not matter to an exact sum
-    for key, c in expr._terms.items():
-        if key not in basis:
-            basis[key] = _basis_value(*key, ctx)
-        terms.append((c.numerator, c.denominator, *basis[key]))
+    p, coeffs = expr.pi_pow, expr.coeffs
+    row = _basis(ctx).setdefault(p, [])
+    for n in range(len(row), len(coeffs)):
+        row.append(_basis_value(*_term(n, p), ctx))
+    terms = [(c.numerator, c.denominator, *row[n]) for n, c in enumerate(coeffs) if c]
     if not terms:
         return mp.mpf(0)
     den = lcm(*[q for _, q, _, _ in terms])

@@ -1,16 +1,19 @@
 """Exact linear combinations over the basis {1, log 2, zeta(odd s >= 3)}.
 
-A :class:`ZetaExpr` is a normalized sum of terms ``coeff * atom * pi^p``
-where the atom is the constant 1, log 2, or a Riemann zeta value at an odd
-integer >= 3, ``p`` is an integer power of pi, and the coefficient is an
-exact rational.  All odd-sphere GJMS log-determinants live in this space.
+A :class:`ZetaExpr` is the dense record ``(pi_pow, coeffs)`` standing for
+
+    pi^pi_pow * sum_n coeffs[n] * b_n,   b = (1, log 2, zeta(3)/pi^2, zeta(5)/pi^4, ...),
+
+with exact rational coefficients: slot ``n >= 2`` holds zeta(2n-1)/pi^(2n-2).
+All odd-sphere GJMS log-determinants live in this space, at ``pi_pow = 0``.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Union
 
 __all__ = ["Atom", "ONE", "LOG2", "ZetaExpr"]
@@ -23,137 +26,109 @@ ONE: Atom = "one"
 LOG2: Atom = "log2"
 
 
-def _check_atom(atom: Atom) -> Atom:
-    if atom in (ONE, LOG2):
-        return atom
-    if isinstance(atom, int) and atom >= 3 and atom % 2 == 1:
-        return atom
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _slot(atom: Atom, pi_pow: int) -> tuple[int, int]:
+    """(slot, record pi power) of the term atom * pi^pi_pow."""
+    if atom == ONE or atom == LOG2:
+        return (0 if atom == ONE else 1), pi_pow
+    if _is_int(atom) and atom >= 3 and atom % 2 == 1:
+        return (atom + 1) // 2, pi_pow + atom - 1
     raise ValueError(f"invalid atom: {atom!r}")
 
 
-def _atom_order(atom: Atom) -> tuple[int, int]:
-    if atom == ONE:
-        return (0, 0)
-    if atom == LOG2:
-        return (1, 0)
-    return (2, atom)
+def _term(n: int, pi_pow: int) -> tuple[Atom, int]:
+    """(atom, own pi power) of slot n in a record with power pi_pow."""
+    if n < 2:
+        return (LOG2 if n else ONE), pi_pow
+    return 2 * n - 1, pi_pow - 2 * n + 2
 
 
+@dataclass(frozen=True, slots=True)
 class ZetaExpr:
-    """Immutable normalized linear combination of basis atoms.
+    """Immutable dense expression ``pi^pi_pow * sum_n coeffs[n] * b_n``.
 
-    Normalization: at most one term per (atom, pi power) pair and no zero
-    coefficients.  Addition, subtraction, scalar multiplication by exact
-    rationals, and multiplication by integer powers of pi are exact.
+    ``coeffs`` holds exact rationals (``int`` or ``Fraction``).  Trailing
+    zero slots are dropped and the zero expression has ``pi_pow = 0``, so
+    equality and hashing compare the two fields.  Use :meth:`from_terms` or
+    :meth:`from_json` to build one from outside input.
     """
 
-    __slots__ = ("_terms",)
+    pi_pow: int
+    coeffs: tuple
 
-    def __init__(self, terms: Iterable[tuple[Atom, int, Fraction]] = ()) -> None:
-        acc: dict[tuple[Atom, int], Fraction] = {}
-        for atom, pi_pow, coeff in terms:
-            atom = _check_atom(atom)
-            key = (atom, int(pi_pow))
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        object.__setattr__(
-            self,
-            "_terms",
-            {k: v for k, v in acc.items() if v != 0},
-        )
+    def __post_init__(self) -> None:
+        coeffs = tuple(self.coeffs)
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        object.__setattr__(self, "coeffs", coeffs[:n])
+        if not n:
+            object.__setattr__(self, "pi_pow", 0)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "ZetaExpr":
-        return cls()
-
-    @classmethod
-    def const(cls, coeff, pi_pow: int = 0) -> "ZetaExpr":
-        return cls([(ONE, pi_pow, Fraction(coeff))])
-
-    @classmethod
     def log2(cls, coeff, pi_pow: int = 0) -> "ZetaExpr":
-        return cls([(LOG2, pi_pow, Fraction(coeff))])
+        return cls(pi_pow, (0, Fraction(coeff)))
 
     @classmethod
-    def zeta(cls, s: int, coeff=1, pi_pow: int = 0) -> "ZetaExpr":
-        return cls([(s, pi_pow, Fraction(coeff))])
+    def from_terms(cls, terms: Iterable[tuple[Atom, int, Fraction]]) -> "ZetaExpr":
+        """Validated sum of ``coeff * atom * pi^pi_pow`` triples; every term
+        with a nonzero coefficient must fit one record power."""
+        slots: dict[int, Fraction] = {}
+        record_pow = None
+        for atom, pi_pow, coeff in terms:
+            if not _is_int(pi_pow):
+                raise ValueError(f"pi power must be an integer, got {pi_pow!r}")
+            if not (_is_int(coeff) or isinstance(coeff, Fraction)):
+                raise ValueError(f"coefficient must be exact, got {coeff!r}")
+            n, p = _slot(atom, pi_pow)
+            if coeff:
+                if record_pow is not None and p != record_pow:
+                    raise ValueError("terms do not share one power of pi")
+                record_pow = p
+                slots[n] = slots.get(n, 0) + Fraction(coeff)
+        size = max(slots, default=-1) + 1
+        return cls(record_pow or 0, [slots.get(n, Fraction(0)) for n in range(size)])
 
     # -- inspection ---------------------------------------------------
 
     def terms(self) -> list[tuple[Atom, int, Fraction]]:
-        """Terms in canonical order: 1, log 2, zeta(3), zeta(5), ...;
-        ties broken by ascending pi power."""
-        keys = sorted(self._terms, key=lambda k: (_atom_order(k[0]), k[1]))
-        return [(a, p, self._terms[(a, p)]) for a, p in keys]
-
-    def coeff(self, atom: Atom, pi_pow: int) -> Fraction:
-        return self._terms.get((_check_atom(atom), pi_pow), Fraction(0))
+        """Nonzero terms (atom, own pi power, coeff) in the canonical order
+        1, log 2, zeta(3), zeta(5), ..., which is slot order."""
+        return [(*_term(n, self.pi_pow), c) for n, c in enumerate(self.coeffs) if c]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.coeffs
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "ZetaExpr") -> "ZetaExpr":
         if not isinstance(other, ZetaExpr):
             return NotImplemented
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            acc[key] = acc.get(key, 0) + c
-        return ZetaExpr._normalized(acc)
-
-    def __sub__(self, other: "ZetaExpr") -> "ZetaExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "ZetaExpr":
-        return self * Fraction(-1)
-
-    def __mul__(self, scalar) -> "ZetaExpr":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return ZetaExpr._normalized({k: c * scalar for k, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def mul_pi(self, pi_pow: int) -> "ZetaExpr":
-        """Multiply by an integer power of pi (shift every term's exponent)."""
-        shift = int(pi_pow)
-        return ZetaExpr._normalized(
-            {(a, p + shift): c for (a, p), c in self._terms.items()}
-        )
-
-    @classmethod
-    def _normalized(cls, terms: dict[tuple[Atom, int], Fraction]) -> "ZetaExpr":
-        """Wrap terms built from normalized operands: the keys are already
-        valid and the values Fractions, so only zeros are dropped."""
-        expr = object.__new__(cls)
-        object.__setattr__(expr, "_terms", {k: c for k, c in terms.items() if c})
-        return expr
+        return ZetaExpr._weighted_sum(((1, self), (1, other)))
 
     @classmethod
     def _weighted_sum(cls, pairs: Iterable[tuple[int, "ZetaExpr"]]) -> "ZetaExpr":
         """Sum of weight * expr over (int weight, expr) pairs, in integers:
-        each key keeps one numerator over the lcm of its denominators so far
-        (one gcd per term) and becomes one Fraction at the end."""
-        acc: dict[tuple[Atom, int], tuple[int, int]] = {}
-        for weight, expr in pairs:
-            for key, c in expr._terms.items():
-                num, den = weight * c.numerator, c.denominator
-                if key in acc:
-                    n0, d0 = acc[key]
-                    g = gcd(d0, den)
-                    num, den = n0 * (den // g) + num * (d0 // g), d0 // g * den
-                acc[key] = (num, den)
-        return cls._normalized({key: Fraction(n, q) for key, (n, q) in acc.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZetaExpr):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        each slot sums numerators over the lcm of every denominator and
+        becomes one Fraction at the end.  Nonzero operands must share one
+        pi power."""
+        pairs = [(w, e) for w, e in pairs if w and e.coeffs]
+        if not pairs:
+            return cls(0, ())
+        pi_pow = pairs[0][1].pi_pow
+        if any(e.pi_pow != pi_pow for _, e in pairs):
+            raise ValueError("cannot add expressions with different powers of pi")
+        den = lcm(*[c.denominator for _, e in pairs for c in e.coeffs])
+        acc = [0] * max(len(e.coeffs) for _, e in pairs)
+        for w, e in pairs:
+            for n, c in enumerate(e.coeffs):
+                acc[n] += w * c.numerator * (den // c.denominator)
+        return cls(pi_pow, [Fraction(a, den) for a in acc])
 
     # -- rendering ----------------------------------------------------
 
@@ -183,9 +158,6 @@ class ZetaExpr:
         for sign, piece in parts[1:]:
             out += f" {sign} {piece}"
         return out
-
-    def __repr__(self) -> str:
-        return f"ZetaExpr({self.terms()!r})"
 
     def to_latex(self) -> str:
         """LaTeX rendering, zeta terms written as fractions over pi powers."""
@@ -231,13 +203,27 @@ class ZetaExpr:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "ZetaExpr":
+        """Inverse of :meth:`to_json_obj`: coefficients must be strings such
+        as ``"p/q"``; any malformed term raises ``ValueError``."""
+        if not isinstance(obj, list):
+            raise ValueError(f"expected a list of terms, got {type(obj).__name__}")
         terms = []
         for entry in obj:
-            a = entry["atom"]
-            if isinstance(a, dict):
-                a = int(a["zeta"])
-            terms.append((a, int(entry["pi_pow"]), Fraction(entry["coeff"])))
-        return cls(terms)
+            if not isinstance(entry, dict) or entry.keys() != {"atom", "pi_pow", "coeff"}:
+                raise ValueError(f"a term needs exactly atom, pi_pow and coeff: {entry!r}")
+            atom, coeff = entry["atom"], entry["coeff"]
+            if isinstance(atom, dict) and atom.keys() == {"zeta"} and _is_int(atom["zeta"]):
+                atom = atom["zeta"]
+            elif atom not in (ONE, LOG2):
+                raise ValueError(f"invalid atom: {atom!r}")
+            if not isinstance(coeff, str):
+                raise ValueError(f"coefficient must be a string 'p/q', got {coeff!r}")
+            try:
+                coeff = Fraction(coeff)
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient has a zero denominator: {coeff!r}") from None
+            terms.append((atom, entry["pi_pow"], coeff))
+        return cls.from_terms(terms)
 
     @classmethod
     def from_json(cls, text: str) -> "ZetaExpr":

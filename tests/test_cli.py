@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gjmsdet import cli
+from gjmsdet import cli, quadrature
 from gjmsdet.cli import main
 from gjmsdet.quadrature import QuadratureConfig
 from gjmsdet.zexpr import ZetaExpr
@@ -141,6 +141,16 @@ def test_crosscheck_smallest(capsys):
     assert code == 0
     rows = [line for line in out.splitlines() if line.strip() and line.lstrip()[0].isdigit()]
     assert len(rows) == 1
+
+
+def test_crosscheck_past_float64_limit_fails_before_any_row(capsys, monkeypatch):
+    # the limit lowered so that a regression prints a few rows, not hours' worth
+    monkeypatch.setattr(quadrature, "D_MAX_FLOAT64", 7)
+    code, out, err = run(capsys, "crosscheck", "--d-max", "9")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --d-max") and "d <= 7, got d=9" in err
+    assert err.count("\n") == 1
 
 
 def test_crosscheck_runs_each_quadrature_once(capsys, monkeypatch):

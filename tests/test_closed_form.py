@@ -20,7 +20,8 @@ from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.exact import bernoulli
 from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
 from norlund_oracle import logdet_paper_formula
-from test_zexpr import atoms, coeffs, term_lists
+from sparse_terms import add, scale, shift_pi, sparse
+from test_zexpr import coeffs, pi_pows
 
 
 def zeta_euler_maclaurin_oracle(s, digits):
@@ -55,20 +56,20 @@ def test_f_even_values():
 
 def test_f_odd_values():
     assert f_odd(0) == ZetaExpr.log2(1, -1)
-    assert f_odd(1) == ZetaExpr.zeta(3, Fraction(3, 4), -3) + ZetaExpr.log2(
-        Fraction(1, 2), -1
-    )
-    f7 = f_odd(3)
-    assert f7.coeff(7, -7) == Fraction(63, 64)
-    assert f7.coeff(5, -5) == Fraction(35, 32)
-    assert f7.coeff(3, -3) == Fraction(259, 480)
-    assert f7.coeff(LOG2, -1) == Fraction(5, 16)
-    f9 = f_odd(4)
-    assert f9.coeff(9, -9) == Fraction(255, 256)
-    assert f9.coeff(7, -7) == Fraction(189, 128)
-    assert f9.coeff(5, -5) == Fraction(141, 128)
-    assert f9.coeff(3, -3) == Fraction(3229, 6720)
-    assert f9.coeff(LOG2, -1) == Fraction(35, 128)
+    assert f_odd(1) == ZetaExpr(-1, (0, Fraction(1, 2), Fraction(3, 4)))
+    assert sparse(f_odd(3)) == {
+        (7, -7): Fraction(63, 64),
+        (5, -5): Fraction(35, 32),
+        (3, -3): Fraction(259, 480),
+        (LOG2, -1): Fraction(5, 16),
+    }
+    assert sparse(f_odd(4)) == {
+        (9, -9): Fraction(255, 256),
+        (7, -7): Fraction(189, 128),
+        (5, -5): Fraction(141, 128),
+        (3, -3): Fraction(3229, 6720),
+        (LOG2, -1): Fraction(35, 128),
+    }
 
 
 pairs_d_le_81 = st.integers(1, 40).flatmap(
@@ -80,7 +81,7 @@ pairs_d_le_81 = st.integers(1, 40).flatmap(
 @given(pairs_d_le_81)
 def test_logdet_matches_paper_formula_on_oracle_f(pair):
     d, k = pair
-    assert logdet_gjms(d, k) == logdet_paper_formula(d, k)
+    assert sparse(logdet_gjms(d, k)) == logdet_paper_formula(d, k)
 
 
 def test_f_monotone_decreasing_over_odd_indices():
@@ -89,33 +90,34 @@ def test_f_monotone_decreasing_over_odd_indices():
 
 
 def test_logdet_small_cases_exact():
-    assert logdet_gjms(3, 1) == ZetaExpr.log2(Fraction(1, 4)) + ZetaExpr.zeta(
-        3, Fraction(-3, 8), -2
-    )
-    e52 = logdet_gjms(5, 2)
-    assert e52.coeff(LOG2, 0) == Fraction(7, 32)
-    assert e52.coeff(3, -2) == Fraction(-13, 32)
-    assert e52.coeff(5, -4) == Fraction(15, 64)
+    assert logdet_gjms(3, 1) == ZetaExpr(0, (0, Fraction(1, 4), Fraction(-3, 8)))
+    assert sparse(logdet_gjms(5, 2)) == {
+        (LOG2, 0): Fraction(7, 32),
+        (3, -2): Fraction(-13, 32),
+        (5, -4): Fraction(15, 64),
+    }
 
 
 def test_logdet_k1_reduces_to_f_difference():
     for d in range(3, 22, 2):
         direct = logdet_gjms(d, 1)
         prefactor = Fraction((-1) ** ((d + 1) // 2), 2 ** (d - 2))
-        expected = (prefactor * (f_expr(d - 2) - f_expr(d))).mul_pi(1)
-        assert direct == expected, d
+        diff = add(sparse(f_expr(d - 2)), scale(-1, sparse(f_expr(d))))
+        assert sparse(direct) == shift_pi(scale(prefactor, diff), 1), d
 
 
 def test_logdet_k2_two_term_formula():
     for d in range(5, 15, 2):
         direct = logdet_gjms(d, 2)
-        t1 = Fraction((-1) ** ((d - 1) // 2), 2 ** (d - 4)) * (
-            f_expr(d - 4) - f_expr(d - 2)
+        t1 = scale(
+            Fraction((-1) ** ((d - 1) // 2), 2 ** (d - 4)),
+            add(sparse(f_expr(d - 4)), scale(-1, sparse(f_expr(d - 2)))),
         )
-        t2 = Fraction((-1) ** ((d + 1) // 2), 2 ** (d - 3)) * (
-            f_expr(d - 2) - f_expr(d)
+        t2 = scale(
+            Fraction((-1) ** ((d + 1) // 2), 2 ** (d - 3)),
+            add(sparse(f_expr(d - 2)), scale(-1, sparse(f_expr(d)))),
         )
-        assert direct == (t1 + t2).mul_pi(1), d
+        assert sparse(direct) == shift_pi(add(t1, t2), 1), d
 
 
 def test_logdet_validation():
@@ -190,17 +192,20 @@ def test_evaluate_precision_scales_with_context():
 def test_cached_basis_values_follow_the_context():
     # atom * pi^p is cached per context: switching precision back and forth
     # must give what a run from empty caches gives at each precision (a cache
-    # filled at 20 digits and read at 60 would be off from the 31st digit)
-    expr = logdet_gjms(21, 4) + f_odd(6) + ZetaExpr.const(Fraction(3, 7), 2)
+    # filled at 20 digits and read at 60 would be off from the 31st digit);
+    # one expression per power of pi
+    exprs = (logdet_gjms(21, 4), f_odd(6), ZetaExpr(2, (Fraction(3, 7),)))
     digits = (20, 60, 20, 60)
     _basis.cache_clear()
-    cached = [evaluate(expr, PrecisionContext(n)) for n in digits]
-    for n, value in zip(digits, cached):
-        _basis.cache_clear()
-        zeta_odd.cache_clear()
-        fresh = evaluate(expr, PrecisionContext(n))
-        assert fresh == value and repr(fresh) == repr(value), n
-    assert abs(cached[0] - cached[1]) < mp.mpf("1e-19") and cached[0] != cached[1]
+    cached = [[evaluate(e, PrecisionContext(n)) for e in exprs] for n in digits]
+    for n, values in zip(digits, cached):
+        for e, value in zip(exprs, values):
+            _basis.cache_clear()
+            zeta_odd.cache_clear()
+            fresh = evaluate(e, PrecisionContext(n))
+            assert fresh == value and repr(fresh) == repr(value), (n, e)
+    for lo, hi in zip(cached[0], cached[1]):
+        assert abs(lo - hi) < mp.mpf("1e-19") and lo != hi
 
 
 def test_evaluate_matches_direct_high_precision_sum():
@@ -231,26 +236,27 @@ def _direct_sums(expr):
         return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
 
 
-# coefficients scaled by 10^-300 ... 10^300
-scaled_term_lists = st.lists(
-    st.tuples(atoms, st.integers(-8, 8), coeffs, st.integers(-300, 300)).map(
-        lambda t: (t[0], t[1], t[2] * Fraction(10) ** t[3])
+# slot coefficients, some scaled by 10^-300 ... 10^300
+scaled_slot_lists = st.lists(
+    st.tuples(coeffs, st.one_of(st.just(0), st.integers(-300, 300))).map(
+        lambda t: t[0] * Fraction(10) ** t[1]
     ),
     max_size=8,
 )
 
 
 @settings(deadline=None)
-@given(term_lists, scaled_term_lists, st.integers(1, 80))
-def test_evaluate_matches_direct_sum_on_arbitrary_expressions(plain, scaled, cancel):
-    # mixed atoms, pi powers of both signs, huge and tiny coefficients, and a
-    # constant that cancels the value down to about 10^-cancel of itself:
-    # evaluate errs by at most a few units in the last place of its working
-    # precision (digits + 10) relative to sum_i |c_i b_i| + |value|
-    expr = ZetaExpr(plain) + ZetaExpr(scaled)
-    value, _ = _direct_sums(expr)
+@given(pi_pows, scaled_slot_lists, st.integers(1, 80))
+def test_evaluate_matches_direct_sum_on_arbitrary_expressions(pi_pow, slots, cancel):
+    # every atom, pi powers of both signs, huge and tiny coefficients, and a
+    # slot-0 constant that cancels the value down to about 10^-cancel of
+    # itself: evaluate errs by at most a few units in the last place of its
+    # working precision (digits + 10) relative to sum_i |c_i b_i| + |value|
+    slots = slots or [Fraction(0)]
+    value, _ = _direct_sums(ZetaExpr(0, slots))
     with mp.workdps(150):
-        expr = expr - ZetaExpr.const(Fraction(mp.nstr(value, cancel)))
+        slots[0] -= Fraction(mp.nstr(value, cancel))
+        expr = ZetaExpr(pi_pow, slots)
         direct, magnitude = _direct_sums(expr)
         for digits in (20, 60):
             got = evaluate(expr, PrecisionContext(digits))
@@ -260,7 +266,7 @@ def test_evaluate_matches_direct_sum_on_arbitrary_expressions(plain, scaled, can
 
 def test_evaluate_zero_is_exactly_zero():
     for digits in (20, 60):
-        value = evaluate(ZetaExpr.zero(), PrecisionContext(digits))
+        value = evaluate(ZetaExpr(3, (0, 0)), PrecisionContext(digits))
         assert isinstance(value, mp.mpf) and value == 0
 
 

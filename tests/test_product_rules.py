@@ -10,6 +10,7 @@ from gjmsdet.product_rules import (
     product_rule,
     rule_exponents,
 )
+from sparse_terms import add, dense, scale, sparse
 
 
 def chebyshev_u_recurrence_oracle(n):
@@ -85,7 +86,8 @@ def test_rendering():
 
 
 def test_via_product_exact_small_case():
-    combined = 2 * logdet_gjms(5, 1) + logdet_gjms(3, 1)
+    # summed in sparse term dicts, not by the _weighted_sum the route uses
+    combined = dense(add(scale(2, sparse(logdet_gjms(5, 1))), sparse(logdet_gjms(3, 1))))
     assert logdet_via_product(5, 2) == combined
     assert logdet_via_product(3, 1) == logdet_gjms(3, 1)
 
