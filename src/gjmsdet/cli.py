@@ -74,8 +74,13 @@ def _display_precision(digits: int) -> PrecisionContext:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:  # exit 2 as bad input, not 1 as a disagreement
+            raise ValueError(f"--out: {exc.strerror or exc}: {out_path}") from None
     else:
         sys.stdout.write(text)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import mpmath as mp
 
@@ -73,11 +73,12 @@ def _pi_f_odd(m: int) -> tuple[int, tuple[int, ...]]:
     (-1)^{m+n} 16^{m-n} (2n)! row[2n+1], times 4^n - 1 for n >= 1.
     """
     row = _central_poly(2 * m + 1)
-    out = []
+    fact, out = 1, []  # a running (2n)!; 16^(m-n) and 4^n are shifts
     for n in range(m + 1):
-        c = (-1) ** (m + n) * 16 ** (m - n) * factorial(2 * n) * row[2 * n + 1]
-        out.append(c * (4**n - 1) if n else c)
-    return factorial(2 * m) * 16**m, tuple(out)
+        fact *= (2 * n - 1) * 2 * n if n else 1
+        c = (-1) ** (m + n) * fact * row[2 * n + 1] << 4 * (m - n)
+        out.append(c * ((1 << 2 * n) - 1) if n else c)
+    return fact << 4 * m, tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +93,7 @@ def f_odd(m: int) -> ZetaExpr:
     if m < 0:
         raise ValueError("m must be >= 0")
     den, row = _pi_f_odd(m)
-    return ZetaExpr(-1, (0, *[Fraction(c, den) for c in row]))
+    return ZetaExpr(-1, den, (0, *row))
 
 
 def f_expr(m: int) -> ZetaExpr:
@@ -100,7 +101,7 @@ def f_expr(m: int) -> ZetaExpr:
     if m < 0:
         raise ValueError("m must be >= 0")
     if m % 2 == 0:
-        return ZetaExpr(0, (f_even(m // 2),))
+        return ZetaExpr.from_terms([(ONE, 0, f_even(m // 2))])
     return f_odd((m - 1) // 2)
 
 
@@ -129,8 +130,8 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
         for n, c in enumerate(row):
             acc[n] += w * c
     # the prefactor's sign and 2^(d-2k), the weights' 4^k
-    den = (-1) ** ((d - 1) // 2 + k) * 2**d * top_den
-    return ZetaExpr(0, (0, *[Fraction(c, den) for c in acc]))
+    den = (-1) ** ((d - 1) // 2 + k) * top_den << d
+    return ZetaExpr(0, den, (0, *acc))
 
 
 # -- numeric evaluation ---------------------------------------------------
@@ -168,21 +169,19 @@ def _basis_value(atom, pi_pow: int, ctx: PrecisionContext) -> tuple[int, int]:
 def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
     """Numeric value of an exact expression at the context's precision.
 
-    With the basis values b_i = man_i 2^exp_i and the coefficients c_i =
-    num_i / den_i over their common denominator D, the sum of c_i b_i is
-    2^e_min / D times the integer sum of num_i (D / den_i) man_i
-    2^(exp_i - e_min), e_min the least exponent.  That sum is exact, so the
-    value is rounded once, in the final division, after the basis values.
+    With the basis values b_n = man_n 2^exp_n, the sum of nums[n]/den b_n
+    is 2^e_min / den times the integer sum of nums[n] man_n 2^(exp_n -
+    e_min), e_min the least exponent.  That sum is exact, so the value is
+    rounded once, in the final division, after the basis values.
     """
-    p, coeffs = expr.pi_pow, expr.coeffs
+    p, nums = expr.pi_pow, expr.nums
     row = _basis(ctx).setdefault(p, [])
-    for n in range(len(row), len(coeffs)):
+    for n in range(len(row), len(nums)):
         row.append(_basis_value(*_term(n, p), ctx))
-    terms = [(c.numerator, c.denominator, *row[n]) for n, c in enumerate(coeffs) if c]
+    terms = [(c, *row[n]) for n, c in enumerate(nums) if c]
     if not terms:
         return mp.mpf(0)
-    den = lcm(*[q for _, q, _, _ in terms])
-    e_min = min([e for _, _, _, e in terms])
-    total = sum(n * (den // q) * m << (e - e_min) for n, q, m, e in terms)
+    e_min = min([e for _, _, e in terms])
+    total = sum(c * m << (e - e_min) for c, m, e in terms)
     with mp.workdps(ctx.decimal_digits + 10):
-        return mp.ldexp(mp.fdiv(total, den), e_min)
+        return mp.ldexp(mp.fdiv(total, expr.den), e_min)

@@ -1,10 +1,11 @@
 """Exact linear combinations over the basis {1, log 2, zeta(odd s >= 3)}.
 
-A :class:`ZetaExpr` is the dense record ``(pi_pow, coeffs)`` standing for
+A :class:`ZetaExpr` is the dense record ``(pi_pow, den, nums)`` standing for
 
-    pi^pi_pow * sum_n coeffs[n] * b_n,   b = (1, log 2, zeta(3)/pi^2, zeta(5)/pi^4, ...),
+    pi^pi_pow * sum_n nums[n]/den * b_n,   b = (1, log 2, zeta(3)/pi^2, zeta(5)/pi^4, ...),
 
-with exact rational coefficients: slot ``n >= 2`` holds zeta(2n-1)/pi^(2n-2).
+with integer numerators over one denominator: slot ``n >= 2`` holds
+zeta(2n-1)/pi^(2n-2).
 All odd-sphere GJMS log-determinants live in this space, at ``pi_pow = 0``.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Union
 
 __all__ = ["Atom", "ONE", "LOG2", "ZetaExpr"]
@@ -46,33 +47,46 @@ def _term(n: int, pi_pow: int) -> tuple[Atom, int]:
     return 2 * n - 1, pi_pow - 2 * n + 2
 
 
+def _exact(pi_pow, coeff) -> Fraction:
+    """coeff as a Fraction, once pi_pow is an int and coeff an int or Fraction."""
+    if not _is_int(pi_pow):
+        raise ValueError(f"pi power must be an integer, got {pi_pow!r}")
+    if not (_is_int(coeff) or isinstance(coeff, Fraction)):
+        raise ValueError(f"coefficient must be exact, got {coeff!r}")
+    return Fraction(coeff)
+
+
 @dataclass(frozen=True, slots=True)
 class ZetaExpr:
-    """Immutable dense expression ``pi^pi_pow * sum_n coeffs[n] * b_n``.
+    """Immutable dense expression ``pi^pi_pow * sum_n nums[n]/den * b_n``.
 
-    ``coeffs`` holds exact rationals (``int`` or ``Fraction``).  Trailing
-    zero slots are dropped and the zero expression has ``pi_pow = 0``, so
-    equality and hashing compare the two fields.  Use :meth:`from_terms` or
-    :meth:`from_json` to build one from outside input.
+    The form is canonical: ``den > 0``, ``gcd(den, *nums) == 1``, trailing
+    zero slots dropped, and the zero expression is ``(0, 1, ())``; so
+    equality and hashing compare the fields.  Use :meth:`from_terms`,
+    :meth:`log2` or :meth:`from_json` to build one from outside input.
     """
 
     pi_pow: int
-    coeffs: tuple
+    den: int
+    nums: tuple
 
     def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
-        n = len(coeffs)
-        while n and not coeffs[n - 1]:
-            n -= 1
-        object.__setattr__(self, "coeffs", coeffs[:n])
-        if not n:
-            object.__setattr__(self, "pi_pow", 0)
+        if not self.den:
+            raise ValueError("denominator must be nonzero")
+        nums = list(self.nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(self.den, *nums) if self.den > 0 else -gcd(self.den, *nums)
+        object.__setattr__(self, "pi_pow", self.pi_pow if nums else 0)
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "nums", tuple([c // g for c in nums]))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def log2(cls, coeff, pi_pow: int = 0) -> "ZetaExpr":
-        return cls(pi_pow, (0, Fraction(coeff)))
+        c = _exact(pi_pow, coeff)
+        return cls(pi_pow, c.denominator, (0, c.numerator))
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[Atom, int, Fraction]]) -> "ZetaExpr":
@@ -81,28 +95,36 @@ class ZetaExpr:
         slots: dict[int, Fraction] = {}
         record_pow = None
         for atom, pi_pow, coeff in terms:
-            if not _is_int(pi_pow):
-                raise ValueError(f"pi power must be an integer, got {pi_pow!r}")
-            if not (_is_int(coeff) or isinstance(coeff, Fraction)):
-                raise ValueError(f"coefficient must be exact, got {coeff!r}")
+            coeff = _exact(pi_pow, coeff)
             n, p = _slot(atom, pi_pow)
             if coeff:
                 if record_pow is not None and p != record_pow:
                     raise ValueError("terms do not share one power of pi")
                 record_pow = p
-                slots[n] = slots.get(n, 0) + Fraction(coeff)
+                slots[n] = slots.get(n, 0) + coeff
+        den = lcm(*[c.denominator for c in slots.values()])
         size = max(slots, default=-1) + 1
-        return cls(record_pow or 0, [slots.get(n, Fraction(0)) for n in range(size)])
+        nums = [int(slots.get(n, 0) * den) for n in range(size)]
+        return cls(record_pow or 0, den, nums)
 
     # -- inspection ---------------------------------------------------
+
+    def _reduced(self) -> Iterable[tuple[Atom, int, int, int]]:
+        """Nonzero terms (atom, own pi power, num, den), each coefficient
+        num/den in lowest terms, in slot order."""
+        den = self.den
+        for n, c in enumerate(self.nums):
+            if c:
+                g = gcd(c, den)
+                yield (*_term(n, self.pi_pow), c // g, den // g)
 
     def terms(self) -> list[tuple[Atom, int, Fraction]]:
         """Nonzero terms (atom, own pi power, coeff) in the canonical order
         1, log 2, zeta(3), zeta(5), ..., which is slot order."""
-        return [(*_term(n, self.pi_pow), c) for n, c in enumerate(self.coeffs) if c]
+        return [(a, p, Fraction(c, q)) for a, p, c, q in self._reduced()]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     # -- arithmetic ---------------------------------------------------
 
@@ -113,88 +135,55 @@ class ZetaExpr:
 
     @classmethod
     def _weighted_sum(cls, pairs: Iterable[tuple[int, "ZetaExpr"]]) -> "ZetaExpr":
-        """Sum of weight * expr over (int weight, expr) pairs, in integers:
-        each slot sums numerators over the lcm of every denominator and
-        becomes one Fraction at the end.  Nonzero operands must share one
-        pi power."""
-        pairs = [(w, e) for w, e in pairs if w and e.coeffs]
+        """Sum of weight * expr over (int weight, expr) pairs, in integers
+        over the lcm of the operands' denominators.  Nonzero operands must
+        share one pi power."""
+        pairs = [(w, e) for w, e in pairs if w and e.nums]
         if not pairs:
-            return cls(0, ())
+            return cls(0, 1, ())
         pi_pow = pairs[0][1].pi_pow
         if any(e.pi_pow != pi_pow for _, e in pairs):
             raise ValueError("cannot add expressions with different powers of pi")
-        den = lcm(*[c.denominator for _, e in pairs for c in e.coeffs])
-        acc = [0] * max(len(e.coeffs) for _, e in pairs)
+        den = lcm(*[e.den for _, e in pairs])
+        acc = [0] * max(len(e.nums) for _, e in pairs)
         for w, e in pairs:
-            for n, c in enumerate(e.coeffs):
-                acc[n] += w * c.numerator * (den // c.denominator)
-        return cls(pi_pow, [Fraction(a, den) for a in acc])
+            w *= den // e.den
+            for n, c in enumerate(e.nums):
+                acc[n] += w * c
+        return cls(pi_pow, den, acc)
 
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for atom, pi_pow, coeff in self.terms():
-            factors = []
-            if atom == LOG2:
-                factors.append("log2")
-            elif atom != ONE:
-                factors.append(f"zeta({atom})")
+        out = ""
+        for atom, pi_pow, num, den in self._reduced():
+            factors = [] if atom == ONE else ["log2" if atom == LOG2 else f"zeta({atom})"]
             if pi_pow:
                 factors.append(f"pi^{pi_pow}" if pi_pow != 1 else "pi")
-            body = "*".join(factors)
-            num, den = coeff.numerator, coeff.denominator
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if body:
-                piece = body if mag == "1" else f"{mag}*{body}"
-            else:
-                piece = mag
-            sign = "-" if num < 0 else "+"
-            parts.append((sign, piece))
-        first_sign, first = parts[0]
-        out = (first if first_sign == "+" else "-" + first)
-        for sign, piece in parts[1:]:
-            out += f" {sign} {piece}"
-        return out
+            piece = "*".join(factors if mag == "1" and factors else [mag, *factors])
+            out += (" - " if num < 0 else " + ") + piece
+        return "0" if not out else out[3:] if out[1] == "+" else "-" + out[3:]
 
     def to_latex(self) -> str:
         """LaTeX rendering, zeta terms written as fractions over pi powers."""
-        if self.is_zero():
-            return "0"
         out = ""
-        for atom, pi_pow, coeff in self.terms():
-            num, den = coeff.numerator, coeff.denominator
-            sign = "-" if num < 0 else "+"
+        for atom, pi_pow, num, den in self._reduced():
             cs = str(abs(num)) if den == 1 else rf"\frac{{{abs(num)}}}{{{den}}}"
-            if atom == ONE:
-                body = _pi_factor_latex(pi_pow)
-            elif atom == LOG2:
-                body = r"\log 2" + _pi_factor_latex(pi_pow)
+            if isinstance(atom, int) and pi_pow < 0:
+                body = rf"\frac{{\zeta({atom})}}{{\pi^{{{-pi_pow}}}}}"
             else:
-                if pi_pow < 0:
-                    body = rf"\frac{{\zeta({atom})}}{{\pi^{{{-pi_pow}}}}}"
-                else:
-                    body = rf"\zeta({atom})" + _pi_factor_latex(pi_pow)
+                pi = "" if not pi_pow else r"\pi" if pi_pow == 1 else rf"\pi^{{{pi_pow}}}"
+                body = ("" if atom == ONE else r"\log 2" if atom == LOG2 else rf"\zeta({atom})") + pi
             piece = cs if body == "" else (rf"{cs}\,{body}" if cs != "1" else body)
-            if out == "":
-                out = piece if sign == "+" else "-" + piece
-            else:
-                out += sign + piece
-        return out
+            out += ("-" if num < 0 else "+") + piece
+        return "0" if not out else out[1:] if out[0] == "+" else out
 
     def to_json_obj(self) -> list[dict]:
         out = []
-        for atom, pi_pow, coeff in self.terms():
+        for atom, pi_pow, num, den in self._reduced():
             a = {"zeta": atom} if isinstance(atom, int) else atom
-            out.append(
-                {
-                    "atom": a,
-                    "pi_pow": pi_pow,
-                    "coeff": f"{coeff.numerator}/{coeff.denominator}",
-                }
-            )
+            out.append({"atom": a, "pi_pow": pi_pow, "coeff": f"{num}/{den}"})
         return out
 
     def to_json(self) -> str:
@@ -228,11 +217,3 @@ class ZetaExpr:
     @classmethod
     def from_json(cls, text: str) -> "ZetaExpr":
         return cls.from_json_obj(json.loads(text))
-
-
-def _pi_factor_latex(pi_pow: int) -> str:
-    if pi_pow == 0:
-        return ""
-    if pi_pow == 1:
-        return r"\pi"
-    return rf"\pi^{{{pi_pow}}}"

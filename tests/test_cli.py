@@ -91,6 +91,19 @@ def test_out_of_range_flags_exit_2(capsys):
         assert err.startswith("error:") and flag in err, (argv, err)
 
 
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    # a directory or a missing parent is bad input (exit 2), not a traceback
+    for argv in (
+        ["sweep", "--fixed-d", "5", "--out", str(tmp_path)],
+        ["tables", "--f", "3", "--out", str(tmp_path / "missing" / "x.txt")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: --out: "), (argv, err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_logdet_prints_coefficients_past_int_str_limit(capsys, monkeypatch):
     # from d = 1667 exact coefficients exceed Python's default 4300-digit
     # int-to-str limit; the CLI prints them and restores the limit after

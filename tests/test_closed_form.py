@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjmsdet.central_factorials import _central_poly
 from gjmsdet.closed_form import (
     PrecisionContext,
     _basis,
+    _pi_f_odd,
     evaluate,
     f_even,
     f_expr,
@@ -20,7 +23,7 @@ from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.exact import bernoulli
 from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
 from norlund_oracle import logdet_paper_formula
-from sparse_terms import add, scale, shift_pi, sparse
+from sparse_terms import add, record, scale, shift_pi, sparse
 from test_zexpr import coeffs, pi_pows
 
 
@@ -56,7 +59,7 @@ def test_f_even_values():
 
 def test_f_odd_values():
     assert f_odd(0) == ZetaExpr.log2(1, -1)
-    assert f_odd(1) == ZetaExpr(-1, (0, Fraction(1, 2), Fraction(3, 4)))
+    assert f_odd(1) == ZetaExpr(-1, 4, (0, 2, 3))
     assert sparse(f_odd(3)) == {
         (7, -7): Fraction(63, 64),
         (5, -5): Fraction(35, 32),
@@ -70,6 +73,18 @@ def test_f_odd_values():
         (3, -3): Fraction(3229, 6720),
         (LOG2, -1): Fraction(35, 128),
     }
+
+
+def test_pi_f_odd_running_products_match_per_entry_formula():
+    # the running (2n)!, 16^(m-n) and 4^n give what the per-entry formula
+    # (-1)^(m+n) 16^(m-n) (2n)! row[2n+1] (4^n - 1 for n >= 1) gives
+    for m in range(61):
+        row = _central_poly(2 * m + 1)
+        out = []
+        for n in range(m + 1):
+            c = (-1) ** (m + n) * 16 ** (m - n) * factorial(2 * n) * row[2 * n + 1]
+            out.append(c * (4**n - 1) if n else c)
+        assert _pi_f_odd(m) == (factorial(2 * m) * 16**m, tuple(out)), m
 
 
 pairs_d_le_81 = st.integers(1, 40).flatmap(
@@ -90,7 +105,7 @@ def test_f_monotone_decreasing_over_odd_indices():
 
 
 def test_logdet_small_cases_exact():
-    assert logdet_gjms(3, 1) == ZetaExpr(0, (0, Fraction(1, 4), Fraction(-3, 8)))
+    assert logdet_gjms(3, 1) == ZetaExpr(0, 8, (0, 2, -3))
     assert sparse(logdet_gjms(5, 2)) == {
         (LOG2, 0): Fraction(7, 32),
         (3, -2): Fraction(-13, 32),
@@ -194,7 +209,7 @@ def test_cached_basis_values_follow_the_context():
     # must give what a run from empty caches gives at each precision (a cache
     # filled at 20 digits and read at 60 would be off from the 31st digit);
     # one expression per power of pi
-    exprs = (logdet_gjms(21, 4), f_odd(6), ZetaExpr(2, (Fraction(3, 7),)))
+    exprs = (logdet_gjms(21, 4), f_odd(6), ZetaExpr(2, 7, (3,)))
     digits = (20, 60, 20, 60)
     _basis.cache_clear()
     cached = [[evaluate(e, PrecisionContext(n)) for e in exprs] for n in digits]
@@ -253,10 +268,10 @@ def test_evaluate_matches_direct_sum_on_arbitrary_expressions(pi_pow, slots, can
     # itself: evaluate errs by at most a few units in the last place of its
     # working precision (digits + 10) relative to sum_i |c_i b_i| + |value|
     slots = slots or [Fraction(0)]
-    value, _ = _direct_sums(ZetaExpr(0, slots))
+    value, _ = _direct_sums(record(0, slots))
     with mp.workdps(150):
         slots[0] -= Fraction(mp.nstr(value, cancel))
-        expr = ZetaExpr(pi_pow, slots)
+        expr = record(pi_pow, slots)
         direct, magnitude = _direct_sums(expr)
         for digits in (20, 60):
             got = evaluate(expr, PrecisionContext(digits))
@@ -266,7 +281,7 @@ def test_evaluate_matches_direct_sum_on_arbitrary_expressions(pi_pow, slots, can
 
 def test_evaluate_zero_is_exactly_zero():
     for digits in (20, 60):
-        value = evaluate(ZetaExpr(3, (0, 0)), PrecisionContext(digits))
+        value = evaluate(ZetaExpr(3, 1, (0, 0)), PrecisionContext(digits))
         assert isinstance(value, mp.mpf) and value == 0
 
 
