@@ -9,7 +9,7 @@ Three mutually cross-checking routes:
   {1, log 2, zeta(odd)/pi^even}.
 """
 
-from .central_factorials import central_t, verify_central_norlund_identity
+from .central_factorials import central_t
 from .closed_form import (
     PrecisionContext,
     evaluate,
@@ -21,7 +21,7 @@ from .closed_form import (
 )
 from .errors import DivergentDeterminantError, Float64RangeError, InvalidDimensionError
 from .exact import bernoulli
-from .norlund import d_norlund, d_norlund_series_oracle
+from .norlund import d_norlund
 from .product_rules import (
     ProductRule,
     chebyshev_u_coeffs,
@@ -45,9 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "bernoulli",
     "d_norlund",
-    "d_norlund_series_oracle",
     "central_t",
-    "verify_central_norlund_identity",
     "ZetaExpr",
     "ONE",
     "LOG2",

@@ -1,4 +1,4 @@
-"""Central factorial coefficients of the first kind and related identities.
+"""Central factorial coefficients of the first kind, as exact integer rows.
 
 The central factorial polynomial is
 
@@ -12,23 +12,16 @@ For odd arguments the t(*, *) are tied to the Norlund numbers by
 
     t(2m+1, 2n+1) = 2^{2(n-m)} C(2m, 2n) D^(2m+1)_{2m-2n},
 
-which this module verifies exactly.  Through it the rows of x^[2m+1] supply
-the odd residue constants f_{2m+1} (see :mod:`gjmsdet.closed_form`).
+and D^(2m)_{2m} is an integral of x^[2m+1] / x.  Through these the rows of
+x^[2m+1] supply every residue constant f_m (see :mod:`gjmsdet.closed_form`);
+the tests check the identity against the Norlund recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .norlund import d_norlund
-
-__all__ = [
-    "central_t",
-    "IdentityCheck",
-    "verify_central_norlund_identity",
-]
+__all__ = ["central_t"]
 
 
 # rows 4^(n//2) x^[n] as ascending integer monomial coefficients, one growing
@@ -63,46 +56,3 @@ def central_t(n: int, k: int) -> Fraction:
     if k > n:
         return Fraction(0)
     return Fraction(_central_poly(n)[k], 4 ** (n // 2))
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    m: int
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def verify_central_norlund_identity(
-    m_max: int, superscript: str = "corrected"
-) -> list[IdentityCheck]:
-    """Check t(2m+1, 2n+1) = 2^{2(n-m)} C(2m, 2n) D^(M)_{2m-2n} exactly
-    for all 0 <= n <= m <= m_max.
-
-    ``superscript`` selects the upper index M of the Norlund number:
-    "corrected" uses M = 2m+1 (which holds identically); "printed" uses
-    M = m as it appears in the source relation, which already fails at
-    (m, n) = (1, 0).  Failures are reported, never raised.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    if superscript not in ("corrected", "printed"):
-        raise ValueError("superscript must be 'corrected' or 'printed'")
-    out = []
-    for m in range(m_max + 1):
-        for n in range(m + 1):
-            lhs = central_t(2 * m + 1, 2 * n + 1)
-            upper = 2 * m + 1 if superscript == "corrected" else m
-            if upper < 1:
-                continue
-            rhs = (
-                Fraction(4) ** (n - m)
-                * comb(2 * m, 2 * n)
-                * d_norlund(upper, m - n)
-            )
-            out.append(IdentityCheck(m, n, lhs, rhs))
-    return out

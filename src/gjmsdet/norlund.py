@@ -5,20 +5,20 @@ D^(m)_{2n} = 2^{2n} B^(m)_{2n}(m/2), and satisfy
 
     (t / sin t)^m = sum_{n >= 0} (-1)^n D^(m)_{2n} / (2n)! * t^{2n}.
 
-Two independent constructions are provided: a composition recursion with
-the m = 1 series (the production path) and direct powering of the exact
-Taylor series of t / sin t (the oracle).
+They are built by a composition recursion with the m = 1 series.  The
+closed form reads its Norlund numbers off central factorial rows instead;
+this module serves ``tables --d-norlund`` and the tests' oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .exact import bernoulli
 
-__all__ = ["d_norlund", "d_norlund_series_oracle"]
+__all__ = ["d_norlund"]
 
 
 @lru_cache(maxsize=None)
@@ -44,29 +44,3 @@ def d_norlund(m: int, n: int) -> Fraction:
             * d_norlund(m, n - j)
         )
     return acc / n
-
-
-def d_norlund_series_oracle(m: int, n_max: int) -> list[Fraction]:
-    """[D^(m)_0, ..., D^(m)_{2*n_max}] by exact truncated series powering.
-
-    Builds t / sin t by inverting the Taylor series of sin(t)/t over exact
-    rationals, raises it to the m-th power by repeated truncated
-    multiplication, and reads off coefficients.  Deliberately shares no
-    code with :func:`d_norlund`.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    # series in the variable u = t^2
-    sinc = [Fraction((-1) ** k, factorial(2 * k + 1)) for k in range(n_max + 1)]
-    inv = [Fraction(1)]
-    for k in range(1, n_max + 1):
-        inv.append(-sum(sinc[j] * inv[k - j] for j in range(1, k + 1)))
-    power = [Fraction(1)] + [Fraction(0)] * n_max
-    for _ in range(m):
-        power = [
-            sum(power[j] * inv[k - j] for j in range(k + 1))
-            for k in range(n_max + 1)
-        ]
-    return [(-1) ** k * factorial(2 * k) * power[k] for k in range(n_max + 1)]

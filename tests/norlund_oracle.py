@@ -1,16 +1,23 @@
-"""Test oracle for the odd residue constants f_{2m+1}: the residue sum over
-Norlund numbers from the composition recursion.
+"""Test oracles built on the Norlund numbers.
 
-The production ``closed_form.f_odd`` reads the same Norlund numbers off
-central factorial rows instead and stores dense records; this oracle sums
-sparse term dicts (``sparse_terms``), so the two share no arithmetic and
-are compared through ``sparse(expr) == oracle``.
+* ``f_odd_norlund`` and ``logdet_paper_formula``: the residue sum for the
+  odd constants f_{2m+1} over Norlund numbers from the composition
+  recursion.  The production ``closed_form.f_odd`` reads the same Norlund
+  numbers off central factorial rows instead and stores dense records; the
+  oracle sums sparse term dicts (``sparse_terms``), so the two share no
+  arithmetic and are compared through ``sparse(expr) == oracle``.
+* ``d_norlund_series_oracle``: the Norlund numbers by powering the exact
+  Taylor series of t / sin t, sharing no code with ``d_norlund``.
+* ``verify_central_norlund_identity``: the central factorial rows against
+  the Norlund recursion.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from gjmsdet.central_factorials import central_t
 from gjmsdet.norlund import d_norlund
 from gjmsdet.zexpr import LOG2
 from sparse_terms import add, scale, shift_pi, term
@@ -45,3 +52,72 @@ def logdet_paper_formula(d, k):
         c = comb(2 * k - 1 - j, j) * Fraction(-1, 4) ** j
         acc = add(acc, scale(c, add(f_odd_norlund(m), scale(-1, f_odd_norlund(m + 1)))))
     return shift_pi(scale(Fraction((-1) ** ((d - 1) // 2 + k), 2 ** (d - 2 * k)), acc), 1)
+
+
+def d_norlund_series_oracle(m: int, n_max: int) -> list[Fraction]:
+    """[D^(m)_0, ..., D^(m)_{2*n_max}] by exact truncated series powering.
+
+    Builds t / sin t by inverting the Taylor series of sin(t)/t over exact
+    rationals, raises it to the m-th power by repeated truncated
+    multiplication, and reads off coefficients.  Deliberately shares no
+    code with :func:`d_norlund`.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    # series in the variable u = t^2
+    sinc = [Fraction((-1) ** k, factorial(2 * k + 1)) for k in range(n_max + 1)]
+    inv = [Fraction(1)]
+    for k in range(1, n_max + 1):
+        inv.append(-sum(sinc[j] * inv[k - j] for j in range(1, k + 1)))
+    power = [Fraction(1)] + [Fraction(0)] * n_max
+    for _ in range(m):
+        power = [
+            sum(power[j] * inv[k - j] for j in range(k + 1))
+            for k in range(n_max + 1)
+        ]
+    return [(-1) ** k * factorial(2 * k) * power[k] for k in range(n_max + 1)]
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    m: int
+    n: int
+    lhs: Fraction
+    rhs: Fraction
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
+
+
+def verify_central_norlund_identity(
+    m_max: int, superscript: str = "corrected"
+) -> list[IdentityCheck]:
+    """Check t(2m+1, 2n+1) = 2^{2(n-m)} C(2m, 2n) D^(M)_{2m-2n} exactly
+    for all 0 <= n <= m <= m_max.
+
+    ``superscript`` selects the upper index M of the Norlund number:
+    "corrected" uses M = 2m+1 (which holds identically); "printed" uses
+    M = m as it appears in the source relation, which already fails at
+    (m, n) = (1, 0).  Failures are reported, never raised.
+    """
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    if superscript not in ("corrected", "printed"):
+        raise ValueError("superscript must be 'corrected' or 'printed'")
+    out = []
+    for m in range(m_max + 1):
+        for n in range(m + 1):
+            lhs = central_t(2 * m + 1, 2 * n + 1)
+            upper = 2 * m + 1 if superscript == "corrected" else m
+            if upper < 1:
+                continue
+            rhs = (
+                Fraction(4) ** (n - m)
+                * comb(2 * m, 2 * n)
+                * d_norlund(upper, m - n)
+            )
+            out.append(IdentityCheck(m, n, lhs, rhs))
+    return out

@@ -19,17 +19,20 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from gjmsdet.central_factorials import verify_central_norlund_identity
 from gjmsdet.closed_form import evaluate, f_even, f_expr, f_odd, logdet_gjms
 from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
-from gjmsdet.norlund import d_norlund, d_norlund_series_oracle
+from gjmsdet.norlund import d_norlund
 from gjmsdet.product_rules import logdet_via_product, product_rule, rule_exponents
 from gjmsdet.quadrature import (
     logdet_factor_quadrature,
     logdet_quadrature,
 )
 from gjmsdet.zexpr import LOG2, ZetaExpr
-from norlund_oracle import f_odd_norlund
+from norlund_oracle import (
+    d_norlund_series_oracle,
+    f_odd_norlund,
+    verify_central_norlund_identity,
+)
 from sparse_terms import sparse
 
 

@@ -2,13 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from gjmsdet.central_factorials import (
-    _central_poly,
-    central_t,
-    verify_central_norlund_identity,
-)
+from gjmsdet.central_factorials import _central_poly, central_t
 from gjmsdet.closed_form import f_odd
-from norlund_oracle import f_odd_norlund
+from norlund_oracle import f_odd_norlund, verify_central_norlund_identity
 from sparse_terms import sparse
 
 

@@ -67,6 +67,7 @@ def test_out_of_range_flags_exit_2(capsys):
         ("--digits", ["logdet", "--d", "5", "--k", "2", "--digits", "51"]),
         ("--digits", ["sweep", "--fixed-d", "5", "--digits", "80"]),
         ("--central", ["tables", "--central", "0"]),
+        ("--format", ["tables", "--central", "5", "--format", "latex"]),
         ("--f", ["tables", "--f", "-1"]),
         ("--d-norlund", ["tables", "--d-norlund", "0", "3"]),
         ("--d-norlund", ["tables", "--d-norlund", "3", "-1"]),
@@ -246,6 +247,23 @@ def test_crosscheck_evaluates_product_only_when_it_differs(capsys, monkeypatch):
     assert [r.split()[4] for r in rows] != [r.split()[4] for r in bumped_rows]
     for row, bumped_row in zip(rows, bumped_rows):
         assert row.split()[:4] == bumped_row.split()[:4]
+
+
+def test_crosscheck_fails_when_product_expression_differs(capsys, monkeypatch):
+    # 2^-64 log 2 is far below both numeric gates at d <= 11; only the exact
+    # comparison of the product route sees it
+    product = cli.logdet_via_product
+    bump = ZetaExpr.log2(Fraction(1, 2**64))
+    monkeypatch.setattr(cli, "logdet_via_product", lambda d, k: product(d, k) + bump)
+    code, out, _ = run(capsys, "crosscheck", "--d-max", "11")
+    assert code == 1
+    rows = out.splitlines()[1:-1]
+    summary = out.splitlines()[-1]
+    assert summary.startswith(
+        f"FAIL: product route differs from the closed form in {len(rows)} rows, "
+        "max deviation "
+    )
+    assert "exceeds" not in summary  # the numeric gates alone would pass
 
 
 def test_closed_pipe_exits_141_without_traceback():

@@ -21,6 +21,7 @@ from gjmsdet.closed_form import (
 )
 from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.exact import bernoulli
+from gjmsdet.norlund import d_norlund
 from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
 from norlund_oracle import logdet_paper_formula
 from sparse_terms import add, record, scale, shift_pi, sparse
@@ -55,6 +56,18 @@ def test_f_even_values():
     assert f_even(2) == Fraction(11, 90)
     assert f_even(3) == Fraction(191, 1890)
     assert f_even(4) == Fraction(2497, 28350)
+
+
+def test_f_even_matches_norlund_recursion():
+    # production reads D^(2m)_{2m} off the row 4^m x^[2m+1]; the oracle is
+    # the Bernoulli composition recursion
+    for m in range(1, 61):
+        assert f_even(m) == Fraction((-1) ** m, 2 * factorial(2 * m)) * d_norlund(2 * m, m), m
+
+
+def test_f_expr_even_is_the_validated_constant():
+    for m in range(41):
+        assert f_expr(2 * m) == ZetaExpr.from_terms([(ONE, 0, f_even(m))]), m
 
 
 def test_f_odd_values():
