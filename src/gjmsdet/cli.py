@@ -38,7 +38,7 @@ DIGITS_ENV = "GJMSDET_DIGITS"
 DEFAULT_SHOWN_DIGITS = 10
 # crosscheck's relative gate, next to the absolute --tol: log det shrinks
 # with d (|log det P_2(41)| = 5.7e-15), so an absolute gate alone passes any
-# skew below it; a correct run's worst relative deviation to d = 101 is 6e-15
+# skew below it; a correct run's worst relative deviation to d = 101 is 6.5e-15
 CROSSCHECK_REL_TOL = 1e-10
 
 

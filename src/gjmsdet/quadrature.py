@@ -10,18 +10,21 @@ and each conformal-Laplacian factor det(B^2 - alpha_j^2), alpha_j = j+1/2,
 has an analogous integral.  Integrands are evaluated in exponentially
 scaled form (a decaying exponential times a bounded rational function of
 e^{-x}), so nothing overflows for x up to 1e4; the semi-infinite domain is
-truncated where a closed-form geometric tail bound drops below tolerance,
-and the rest is integrated by adaptive Gauss-Kronrod (QUADPACK).  The
-scale 2^{d-1} must be a finite double, which limits d to D_MAX_FLOAT64.
+truncated where a closed-form geometric tail bound drops below tolerance.
+The d-1 integrals of one sphere differ only in the sinh frequency, the
+cosh power and the 2^s scale, so they are integrated together: one
+adaptive Gauss-Kronrod pass (QUADPACK's 21-point rule, vectorised over the
+abscissae and the integrals) on panels they share.  The scale 2^{d-1} must
+be a finite double, which limits d to D_MAX_FLOAT64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad as _gk_quad
 
 from .errors import Float64RangeError, validate_d_k
 
@@ -39,7 +42,40 @@ __all__ = [
 D_MAX_FLOAT64 = 1023
 
 _PI2 = math.pi**2
-_GK_LIMIT = 9523  # QUADPACK subinterval limit
+
+# QUADPACK's qk21 (Piessens et al. 1983): the 21 Kronrod nodes on [-1, 1],
+# their weights, and the 10-point Gauss weights, zero at the Kronrod-only nodes
+_XK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208745938087, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.zeros(11)
+_WG[1::2] = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_NODES = np.concatenate([-_XK, _XK[-2::-1]])
+_KRONROD = np.concatenate([_WK, _WK[-2::-1]])
+_GAUSS = np.concatenate([_WG, _WG[-2::-1]])
+_EPS = np.finfo(float).eps
+_START_PANELS = 16
+# most panels one sphere may share; at the cap the errors reached are returned
+_PANEL_LIMIT = 2000
+# most integrand values one call holds (16 MB of doubles)
+_CHUNK_VALUES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -58,21 +94,24 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """A value with its error estimate; ``neval`` counts the abscissae, which
+    the d-1 integrals of one sphere share."""
+
     value: float
     error: float
     neval: int
 
 
-def integrand_main(x, d: int, k: int):
+def integrand_main(x, d: int, k):
     """Integrand pi/(x^2+pi^2) sinh(x/2) sinh(kx) / cosh^{d+1}(x/2).
 
     Written as 2^{d-1} e^{(k-d/2)x} (1-e^{-x})(1-e^{-2kx}) / (1+e^{-x})^{d+1}
-    times the Lorentzian factor; accepts scalars or arrays.
+    times the Lorentzian factor; accepts scalars or arrays, for x and for k.
     """
     return _scaled_integrand(x, k, d + 1)
 
 
-def integrand_factor(x, d: int, j: int):
+def integrand_factor(x, d: int, j):
     """Integrand (-1)^j pi/(x^2+pi^2) sinh(x/2) sinh(a_j x) / cosh^d(x/2),
     a_j = j + 1/2, in exponentially scaled form."""
     return (-1) ** j * _scaled_integrand(x, j + 0.5, d)
@@ -83,11 +122,12 @@ def _scaled_integrand(x, freq, power: int):
     Lorentzian factor times 2^{power-2} e^{gx} (1-e^{-x})(1-e^{-2 freq x}) /
     (1+e^{-x})^power, g = freq + 1/2 - power/2.
 
-    A float x (what QUADPACK passes) is evaluated with ``math``, anything
-    else as a float array with numpy: numpy's per-call overhead on a single
-    number is many times the arithmetic.  Raising 1+e^{-x} to -power rather
-    than dividing by its power, which reaches 2^1024 at d = 1023, keeps a
-    float x near 0 from overflowing.
+    A float x is evaluated with ``math``, anything else as a float array
+    with numpy: numpy's per-call overhead on a single number is many times
+    the arithmetic.  The quadrature passes arrays; the scalar branch serves
+    callers that pass one float.  Raising 1+e^{-x} to -power rather than
+    dividing by its power, which reaches 2^1024 at d = 1023, keeps a float
+    x near 0 from overflowing.
     """
     if isinstance(x, float):
         xp = math
@@ -99,31 +139,108 @@ def _scaled_integrand(x, freq, power: int):
     return (math.pi / (x * x + _PI2)) * 2.0 ** (power - 2) * grow * num * (1.0 + t) ** -power
 
 
-def _integrate(
-    f, d: int, k: int, scale_exp: int, sign: int, cfg: QuadratureConfig | None
-) -> QuadResult:
-    """sign / 2^scale_exp * integral_0^inf f, for an integrand f of order
-    k on the d-sphere bounded by 2^scale_exp / pi * e^{-(d/2-k) x}."""
+def _check_range(d: int, k: int) -> None:
     validate_d_k(d, k)
     if d > D_MAX_FLOAT64:
         raise Float64RangeError(
             f"quadrature works in float64 and needs d <= {D_MAX_FLOAT64}, got d={d}"
         )
-    cfg = cfg or QuadratureConfig()
-    # upper limit X with integral_X^inf amplitude*e^{-rate*x} dx < abs_tol/10
-    rate = d / 2 - k
-    amplitude = 2.0**scale_exp / math.pi
-    upper = max(40.0, math.log(10.0 * amplitude / (rate * cfg.abs_tol)) / rate)
-    value, err, info = _gk_quad(
-        f, 0.0, upper, epsabs=cfg.abs_tol / 4, epsrel=1e-13,
-        limit=_GK_LIMIT, full_output=True,
-    )[:3]
-    # QUADPACK's estimate plus the tail bound, both mapped to the returned value
+
+
+def _components(x, d: int, comps: np.ndarray):
+    """Integrand values of the sphere's components ``comps`` at the abscissae
+    x, shape (len(comps), *x.shape): component c < K is the main integral
+    k = c + 1, component K + j the factor integral j."""
+    half = (d - 1) // 2
+    main, factor = comps[comps < half], comps[comps >= half] - half
+    parts = []
+    if main.size:
+        parts.append(integrand_main(x, d, main[:, None, None] + 1))
+    if factor.size:
+        parts.append(integrand_factor(x, d, factor[:, None, None]))
+    return np.concatenate(parts)
+
+
+def _gk21(f, halfw):
+    """QUADPACK's qk21 on each panel, from values f of shape (C, P, 21) at
+    the panels' nodes: the integrals and their error estimates, (C, P) each."""
+    resk = f @ _KRONROD
+    diff = np.abs(resk - f @ _GAUSS) * halfw
+    resabs = np.abs(f) @ _KRONROD * halfw
+    resasc = np.abs(f - resk[..., None] / 2) @ _KRONROD * halfw
+    ratio = np.divide(200 * diff, resasc, out=np.ones_like(resasc), where=resasc > 0)
+    err = np.where(resasc > 0, resasc * np.minimum(1.0, ratio**1.5), diff)
+    return resk * halfw, np.maximum(err, 50 * _EPS * resabs)  # round-off floor
+
+
+def _evaluate(centre, halfw, d: int, comps: np.ndarray):
+    """qk21 of the components ``comps`` on the panels (centre, halfw): all
+    panels in one integrand call unless that holds more than _CHUNK_VALUES
+    values, which bounds the memory whatever the panel count."""
+    step = max(1, _CHUNK_VALUES // (comps.size * _NODES.size))
+    parts = [
+        _gk21(_components(centre[i:i + step, None] + halfw[i:i + step, None] * _NODES,
+                          d, comps), halfw[i:i + step])
+        for i in range(0, centre.size, step)
+    ]
+    return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
+
+
+@lru_cache(maxsize=64)
+def _sphere(d: int, cfg: QuadratureConfig) -> tuple[QuadResult, ...]:
+    """Every integral of the d-sphere from one adaptive Gauss-Kronrod pass:
+    the main integrals k = 1..K, then the factor integrals j = 0..K-1, with
+    K = (d-1)/2.
+
+    The components share panels on [0, X], starting from equal ones.  Each
+    round evaluates the new panels' nodes for every unfinished component
+    at once.  A component is finished when its summed error is at most
+    max(abs_tol/4, 1e-13 |value|); a panel is bisected when some unfinished
+    component's error on it exceeds that tolerance over the panel count.
+    Refinement stops at _PANEL_LIMIT panels with the errors reached.
+    """
+    half = (d - 1) // 2
+    k = np.arange(1, half + 1)
+    # factor j converges exactly where P_2k does with k = j + 1
+    rate = d / 2 - np.tile(k, 2)
+    scale_exp = np.repeat([d - 1, d - 2], half)
+    sign = np.concatenate([(-1.0) ** ((d - 1) // 2 + k),
+                           np.full(half, (-1.0) ** ((d + 1) // 2))])
+    # X with integral_X^inf 2^s/pi e^{-rate x} dx < abs_tol/10 for every
+    # component, in logs: 2^s / abs_tol overflows a double from d = 983
+    upper = max(40.0, float(np.max(
+        (math.log(10 / (math.pi * cfg.abs_tol)) + scale_exp * math.log(2) - np.log(rate))
+        / rate
+    )))
+    halfw = np.full(_START_PANELS, upper / (2 * _START_PANELS))
+    centre = (2 * np.arange(_START_PANELS) + 1) * halfw
+    active = np.arange(2 * half)
+    vals, errs = _evaluate(centre, halfw, d, active)
+    neval = _START_PANELS * _NODES.size
+    value, error = np.empty(2 * half), np.empty(2 * half)
+    while True:
+        value[active], error[active] = vals.sum(axis=1), errs.sum(axis=1)
+        tol = np.maximum(cfg.abs_tol / 4, 1e-13 * np.abs(value[active]))
+        open_ = error[active] > tol
+        active, vals, errs, tol = active[open_], vals[open_], errs[open_], tol[open_]
+        split = (errs > tol[:, None] / centre.size).any(axis=0)
+        # nothing left to refine, or no room: return the errors reached
+        if not split.any() or centre.size + np.count_nonzero(split) > _PANEL_LIMIT:
+            break
+        h = halfw[split] / 2
+        new_centre = np.concatenate([centre[split] - h, centre[split] + h])
+        new_halfw = np.concatenate([h, h])
+        new_vals, new_errs = _evaluate(new_centre, new_halfw, d, active)
+        neval += new_centre.size * _NODES.size
+        centre = np.concatenate([centre[~split], new_centre])
+        halfw = np.concatenate([halfw[~split], new_halfw])
+        vals = np.concatenate([vals[:, ~split], new_vals], axis=1)
+        errs = np.concatenate([errs[:, ~split], new_errs], axis=1)
+    # the summed estimate plus the tail bound, both mapped to the returned value
     prefactor = sign / 2.0**scale_exp
-    return QuadResult(
-        value=prefactor * value,
-        error=abs(prefactor) * (err + cfg.abs_tol / 10),
-        neval=info["neval"],
+    return tuple(
+        QuadResult(value=p * v, error=abs(p) * (e + cfg.abs_tol / 10), neval=neval)
+        for p, v, e in zip(prefactor.tolist(), value.tolist(), error.tolist())
     )
 
 
@@ -131,10 +248,8 @@ def logdet_quadrature_result(
     d: int, k: int, cfg: QuadratureConfig | None = None
 ) -> QuadResult:
     """logdet P_2k(d) by quadrature, with error estimate and eval count."""
-    return _integrate(
-        lambda x: integrand_main(x, d, k), d, k, d - 1,
-        (-1) ** ((d - 1) // 2 + k), cfg,
-    )
+    _check_range(d, k)
+    return _sphere(d, cfg or QuadratureConfig())[k - 1]
 
 
 def logdet_quadrature(d: int, k: int, cfg: QuadratureConfig | None = None) -> float:
@@ -146,8 +261,5 @@ def logdet_factor_quadrature(
     d: int, j: int, cfg: QuadratureConfig | None = None
 ) -> float:
     """Numeric log det(B^2 - alpha_j^2) on the d-sphere, alpha_j = j + 1/2."""
-    # factor j converges exactly where P_2k does with k = j + 1
-    return _integrate(
-        lambda x: integrand_factor(x, d, j), d, j + 1, d - 2,
-        (-1) ** ((d + 1) // 2), cfg,
-    ).value
+    _check_range(d, j + 1)
+    return _sphere(d, cfg or QuadratureConfig())[(d - 1) // 2 + j].value

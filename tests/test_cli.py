@@ -183,8 +183,11 @@ def test_crosscheck_runs_each_quadrature_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "logdet_quadrature_result", counted_main)
     monkeypatch.setattr(cli, "logdet_factor_quadrature", counted_factor)
+    quadrature._sphere.cache_clear()
     code, out, _ = run(capsys, "crosscheck", "--d-max", "15")
     assert code == 0
+    # and one batched integration per sphere d = 3, 5, ..., 15 feeds them all
+    assert quadrature._sphere.cache_info().misses == 7
     pairs = [(d, k) for d in range(3, 16, 2) for k in range(1, (d - 1) // 2 + 1)]
     assert sorted(mains) == pairs
     assert sorted(factors) == [(d, k - 1) for d, k in pairs]
@@ -277,6 +280,16 @@ def test_closed_pipe_exits_141_without_traceback():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only dependency; importing it would cost every command
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, gjmsdet, gjmsdet.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_sweep_fixed_k_csv(capsys):

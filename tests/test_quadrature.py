@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, tanhsinh
 
+from gjmsdet import quadrature
 from gjmsdet.closed_form import evaluate, logdet_gjms
 from gjmsdet.errors import (
     DivergentDeterminantError,
@@ -248,18 +249,80 @@ def test_explicit_truncation_point_respected():
 
 def test_float64_range_limit():
     # the largest accepted d still agrees with a 30-digit oracle of the
-    # literal integral, though its value (~1e-312) is a subnormal double
-    d, k = D_MAX_FLOAT64, 1
-    with mp.workdps(30):
-        f = lambda x: (
-            mp.pi / (x * x + mp.pi**2) * mp.sinh(x / 2) * mp.sinh(k * x)
-            / mp.cosh(x / 2) ** (d + 1)
-        )
-        w = 40 / mp.sqrt(d)
-        oracle = prefactor(d, k) * mp.quad(f, [0, w / 4, w, 4 * w, mp.inf])
-    assert abs(logdet_quadrature(d, k) - oracle) <= 1e-10 * abs(oracle)
+    # literal integral, at k = 1, whose value (~1e-312) is a subnormal double,
+    # and at the largest k, whose tail bound 2^1022/pi / (rate abs_tol)
+    # overflows a double unless it is taken in logs
+    d = D_MAX_FLOAT64
+    for k in (1, (d - 1) // 2):
+        with mp.workdps(30):
+            f = lambda x: (
+                mp.pi / (x * x + mp.pi**2) * mp.sinh(x / 2) * mp.sinh(k * x)
+                / mp.cosh(x / 2) ** (d + 1)
+            )
+            w = 40 / mp.sqrt(d)
+            oracle = prefactor(d, k) * mp.quad(f, [0, w / 4, w, 4 * w, mp.inf])
+        assert abs(logdet_quadrature(d, k) - oracle) <= 1e-10 * abs(oracle), k
     for d in (D_MAX_FLOAT64 + 2, 1101):
         with pytest.raises(Float64RangeError, match="float64"):
             logdet_quadrature(d, 1)
         with pytest.raises(Float64RangeError, match="float64"):
             logdet_factor_quadrature(d, 0)
+
+
+def truncation_point(d, abs_tol):
+    """The upper limit the sphere's integrals share: the largest X at which a
+    component's tail bound 2^s/(pi rate) e^{-rate X} falls to abs_tol/10."""
+    return max(
+        40.0,
+        *(math.log(10 * 2.0**s / (math.pi * (d / 2 - k) * abs_tol)) / (d / 2 - k)
+          for s in (d - 1, d - 2) for k in range(1, (d - 1) // 2 + 1)),
+    )
+
+
+def test_batch_matches_quadpack_d_le_41():
+    # scipy's QUADPACK on each integrand and the same truncation point: an
+    # independent check of every main and factor integral of the batch
+    cfg = QuadratureConfig()
+    for d in range(3, 42, 2):
+        upper = truncation_point(d, cfg.abs_tol)
+
+        def quadpack(f, order):
+            return quad(f, 0.0, upper, args=(d, order), epsabs=cfg.abs_tol / 4,
+                        epsrel=1e-13, limit=9523)[0]
+
+        for k in range(1, (d - 1) // 2 + 1):
+            want = prefactor(d, k) * quadpack(integrand_main, k)
+            assert abs(logdet_quadrature(d, k, cfg) - want) <= 1e-12 * abs(want), (d, k)
+        for j in range((d - 1) // 2):
+            want = (-1) ** ((d + 1) // 2) / 2.0 ** (d - 2) * quadpack(integrand_factor, j)
+            assert abs(logdet_factor_quadrature(d, j, cfg) - want) <= 1e-12 * abs(want), (d, j)
+
+
+def test_panel_cap_returns_the_error_reached(monkeypatch):
+    # with no room to bisect, the pass stops at its 16 starting panels and
+    # reports the error it reached, above the tolerance it could not meet
+    monkeypatch.setattr(quadrature, "_PANEL_LIMIT", 16)
+    quadrature._sphere.cache_clear()
+    try:
+        res = logdet_quadrature_result(41, 1)
+    finally:
+        quadrature._sphere.cache_clear()
+    cfg = QuadratureConfig()
+    scale = 2.0**40  # the main integral is 2^(d-1) |log det|
+    tol = max(cfg.abs_tol / 4, 1e-13 * abs(res.value) * scale) / scale
+    assert res.neval == 16 * 21
+    assert res.error > tol
+    assert abs(res.value - float(evaluate(logdet_gjms(41, 1)))) <= res.error
+
+
+def test_chunked_evaluation_matches_one_call(monkeypatch):
+    # one panel per integrand call, as a sphere too large for one call uses;
+    # the error estimates differ more than the values, being differences of
+    # the two rules' sums, which the batch shape rounds differently
+    whole = quadrature._sphere.__wrapped__(15, QuadratureConfig())
+    monkeypatch.setattr(quadrature, "_CHUNK_VALUES", 1)
+    chunked = quadrature._sphere.__wrapped__(15, QuadratureConfig())
+    for a, b in zip(whole, chunked, strict=True):
+        assert a.neval == b.neval
+        assert abs(a.value - b.value) <= 1e-15 * abs(a.value)
+        assert abs(a.error - b.error) <= 1e-6 * a.error
