@@ -24,7 +24,6 @@ from .exact import bernoulli
 from .norlund import d_norlund
 from .product_rules import (
     ProductRule,
-    chebyshev_u_coeffs,
     logdet_via_product,
     product_rule,
     rule_exponents,
@@ -63,7 +62,6 @@ __all__ = [
     "logdet_quadrature",
     "logdet_quadrature_result",
     "logdet_factor_quadrature",
-    "chebyshev_u_coeffs",
     "ProductRule",
     "rule_exponents",
     "product_rule",

@@ -33,6 +33,7 @@ from .quadrature import (
     logdet_factor_quadrature,
     logdet_quadrature_result,
 )
+from .zexpr import ZetaExpr
 
 DIGITS_ENV = "GJMSDET_DIGITS"
 DEFAULT_SHOWN_DIGITS = 10
@@ -190,6 +191,8 @@ def _cmd_sweep(args) -> int:
     rows = []
     if args.fixed_d is not None:
         d = args.fixed_d
+        if d < 3 or d % 2 == 0:
+            raise InvalidDimensionError(f"--fixed-d must be an odd integer >= 3, got {d}")
         k_min = args.k_min if args.k_min is not None else 1
         _require("--k-min", k_min, 1)
         k_max = args.k_max if args.k_max is not None else (d - 1) // 2
@@ -235,8 +238,9 @@ def _cmd_tables(args) -> int:
                 writer.writerow([m] + [str(grid[m, k]) for k in range(k_max + 1)])
         elif args.format == "latex":
             for m in range(1, m_max + 1):
-                cells = [_latex_frac(grid[m, k]) for k in range(k_max + 1)]
-                out.write(f"$m={m}$ & " + " & ".join(cells) + r" \\" + "\n")
+                row = (grid[m, k] for k in range(k_max + 1))
+                cells = [ZetaExpr(0, q.denominator, (q.numerator,)).to_latex() for q in row]
+                out.write(f"$m={m}$ & " + " & ".join(f"${c}$" for c in cells) + r" \\" + "\n")
         else:
             width = max(len(str(v)) for v in grid.values()) + 2
             out.write("m\\k " + "".join(f"{k:>{width}}" for k in range(k_max + 1)) + "\n")
@@ -278,13 +282,6 @@ def _cmd_tables(args) -> int:
                 out.write("  ".join(cells) + "\n")
     _emit(out.getvalue(), args.out)
     return 0
-
-
-def _latex_frac(q) -> str:
-    if q.denominator == 1:
-        return f"${q.numerator}$"
-    sign = "-" if q < 0 else ""
-    return rf"${sign}\frac{{{abs(q.numerator)}}}{{{q.denominator}}}$"
 
 
 # -- parser ----------------------------------------------------------------

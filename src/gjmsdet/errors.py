@@ -1,4 +1,4 @@
-"""Error types shared across the library, and the one (d, k) check."""
+"""Error types shared across the library, and the d and (d, k) checks."""
 
 
 class InvalidDimensionError(ValueError):
@@ -13,10 +13,15 @@ class Float64RangeError(ValueError):
     """The input is valid, but its quadrature value is out of float64 range."""
 
 
-def validate_d_k(d: int, k: int) -> None:
-    """Reject (d, k) unless d is odd, d >= 3 and 1 <= k <= d/2."""
+def validate_d(d: int) -> None:
+    """Reject d unless it is odd and d >= 3."""
     if d < 3 or d % 2 == 0:
         raise InvalidDimensionError(f"d must be an odd integer >= 3, got {d}")
+
+
+def validate_d_k(d: int, k: int) -> None:
+    """Reject (d, k) unless d is odd, d >= 3 and 1 <= k <= d/2."""
+    validate_d(d)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if 2 * k > d:

@@ -26,7 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Float64RangeError, validate_d_k
+from .errors import (
+    DivergentDeterminantError,
+    Float64RangeError,
+    validate_d,
+    validate_d_k,
+)
 
 __all__ = [
     "QuadratureConfig",
@@ -120,31 +125,16 @@ def integrand_factor(x, d: int, j):
 def _scaled_integrand(x, freq, power: int):
     """pi/(x^2+pi^2) sinh(x/2) sinh(freq x) / cosh^power(x/2), written as the
     Lorentzian factor times 2^{power-2} e^{gx} (1-e^{-x})(1-e^{-2 freq x}) /
-    (1+e^{-x})^power, g = freq + 1/2 - power/2.
-
-    A float x is evaluated with ``math``, anything else as a float array
-    with numpy: numpy's per-call overhead on a single number is many times
-    the arithmetic.  The quadrature passes arrays; the scalar branch serves
-    callers that pass one float.  Raising 1+e^{-x} to -power rather than
-    dividing by its power, which reaches 2^1024 at d = 1023, keeps a float
-    x near 0 from overflowing.
+    (1+e^{-x})^power, g = freq + 1/2 - power/2, as a float array (a float
+    x gives a float).  Raising 1+e^{-x} to -power rather than dividing by
+    its power, which reaches 2^1024 at d = 1023, keeps x near 0 from
+    overflowing.
     """
-    if isinstance(x, float):
-        xp = math
-    else:
-        xp, x = np, np.asarray(x, dtype=float)
-    t = xp.exp(-x)
-    grow = xp.exp((freq + 0.5 - power / 2) * x)
-    num = (-xp.expm1(-x)) * (-xp.expm1(-2 * freq * x))
+    x = np.asarray(x, dtype=float)
+    t = np.exp(-x)
+    grow = np.exp((freq + 0.5 - power / 2) * x)
+    num = (-np.expm1(-x)) * (-np.expm1(-2 * freq * x))
     return (math.pi / (x * x + _PI2)) * 2.0 ** (power - 2) * grow * num * (1.0 + t) ** -power
-
-
-def _check_range(d: int, k: int) -> None:
-    validate_d_k(d, k)
-    if d > D_MAX_FLOAT64:
-        raise Float64RangeError(
-            f"quadrature works in float64 and needs d <= {D_MAX_FLOAT64}, got d={d}"
-        )
 
 
 def _components(x, d: int, comps: np.ndarray):
@@ -198,7 +188,12 @@ def _sphere(d: int, cfg: QuadratureConfig) -> tuple[QuadResult, ...]:
     max(abs_tol/4, 1e-13 |value|); a panel is bisected when some unfinished
     component's error on it exceeds that tolerance over the panel count.
     Refinement stops at _PANEL_LIMIT panels with the errors reached.
+    Raises Float64RangeError past D_MAX_FLOAT64.
     """
+    if d > D_MAX_FLOAT64:
+        raise Float64RangeError(
+            f"quadrature works in float64 and needs d <= {D_MAX_FLOAT64}, got d={d}"
+        )
     half = (d - 1) // 2
     k = np.arange(1, half + 1)
     # factor j converges exactly where P_2k does with k = j + 1
@@ -248,7 +243,7 @@ def logdet_quadrature_result(
     d: int, k: int, cfg: QuadratureConfig | None = None
 ) -> QuadResult:
     """logdet P_2k(d) by quadrature, with error estimate and eval count."""
-    _check_range(d, k)
+    validate_d_k(d, k)
     return _sphere(d, cfg or QuadratureConfig())[k - 1]
 
 
@@ -261,5 +256,11 @@ def logdet_factor_quadrature(
     d: int, j: int, cfg: QuadratureConfig | None = None
 ) -> float:
     """Numeric log det(B^2 - alpha_j^2) on the d-sphere, alpha_j = j + 1/2."""
-    _check_range(d, j + 1)
+    validate_d(d)
+    if j < 0:
+        raise ValueError(f"j must be >= 0, got {j}")
+    if 2 * (j + 1) > d:
+        raise DivergentDeterminantError(
+            f"factor integral diverges for 2(j+1) > d (d={d}, j={j})"
+        )
     return _sphere(d, cfg or QuadratureConfig())[(d - 1) // 2 + j].value

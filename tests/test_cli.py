@@ -77,6 +77,8 @@ def test_out_of_range_flags_exit_2(capsys):
         ("abs_tol", ["quad", "--d", "5", "--k", "2", "--tol", "nan"]),
         ("abs_tol", ["quad", "--d", "5", "--k", "2", "--tol", "inf"]),
         ("--k", ["rule", "--k", "0"]),
+        ("--fixed-d", ["sweep", "--fixed-d", "1"]),
+        ("--fixed-d", ["sweep", "--fixed-d", "-3"]),
         ("--fixed-k", ["sweep", "--fixed-k", "0", "--d-max", "5"]),
         ("--k-min", ["sweep", "--fixed-d", "5", "--k-min", "0"]),
         ("--k-max", ["sweep", "--fixed-d", "9", "--k-min", "3", "--k-max", "2"]),

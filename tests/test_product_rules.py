@@ -4,12 +4,7 @@ from hypothesis import strategies as st
 
 from gjmsdet.closed_form import logdet_gjms
 from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
-from gjmsdet.product_rules import (
-    chebyshev_u_coeffs,
-    logdet_via_product,
-    product_rule,
-    rule_exponents,
-)
+from gjmsdet.product_rules import logdet_via_product, product_rule, rule_exponents
 from sparse_terms import add, dense, scale, sparse
 
 
@@ -27,14 +22,9 @@ def chebyshev_u_recurrence_oracle(n):
 
 
 def test_u_coeff_examples():
-    assert chebyshev_u_coeffs(1) == [0, 2]
-    assert chebyshev_u_coeffs(3) == [0, -4, 0, 8]
-    assert chebyshev_u_coeffs(7) == [0, -8, 0, 80, 0, -192, 0, 128]
-
-
-def test_u_coeffs_match_recurrence_oracle():
-    for n in range(0, 33):
-        assert chebyshev_u_coeffs(n) == chebyshev_u_recurrence_oracle(n), n
+    assert chebyshev_u_recurrence_oracle(1) == [0, 2]
+    assert chebyshev_u_recurrence_oracle(3) == [0, -4, 0, 8]
+    assert chebyshev_u_recurrence_oracle(7) == [0, -8, 0, 80, 0, -192, 0, 128]
 
 
 def test_exponent_tables_k_le_5():
@@ -45,21 +35,18 @@ def test_exponent_tables_k_le_5():
     assert rule_exponents(5) == [5, 20, 21, 8, 1]
 
 
-def test_exponents_positive_and_dual_route_up_to_16():
-    # rule_exponents internally computes both constructions and raises on
-    # disagreement; this exercises the comparison over the full range
-    for k in range(1, 17):
-        v = rule_exponents(k)
-        assert all(e > 0 for e in v)
-        assert v[0] == k and v[-1] == 1
-
-
-def test_u_split_alternates_in_sign():
-    from gjmsdet.product_rules import _u_split
-
-    for k in range(1, 17):
-        u = _u_split(k)
+def test_exponents_are_the_chebyshev_split_up_to_40():
+    # U_{2k-1}(x) = x (u_0 + u_1 x^2 + ...): the u_j alternate in sign, and
+    # (-1)^{k-1+j} u_j / 2^{2j+1} is the exponent of dimension d - 2j
+    for k in range(1, 41):
+        u = chebyshev_u_recurrence_oracle(2 * k - 1)[1::2]
         assert all(a * b < 0 for a, b in zip(u, u[1:])), k
+        split = []
+        for j, c in enumerate(u):
+            q, r = divmod((-1) ** (k - 1 + j) * c, 2 ** (2 * j + 1))
+            assert r == 0, (k, j)
+            split.append(q)
+        assert rule_exponents(k) == split, k
 
 
 def test_product_rule_structure():

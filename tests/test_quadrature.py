@@ -123,11 +123,11 @@ def test_chebyshev_form_agrees_pointwise():
         assert np.max(np.abs(a - b) / scale) < 1e-13, (d, k)
 
 
-def test_float_and_array_paths_agree():
-    # QUADPACK passes floats, evaluated with math; arrays go through numpy.
-    # The two exp implementations may differ in the last bit, and
-    # (1+e^{-x})^power multiplies that by up to power, so the bound is 1e-15
-    # plus one unit in the last place of 1+e^{-x} per unit of power
+def test_float_input_matches_the_array_path():
+    # one float gives a float; numpy's scalar and array exp may differ in
+    # the last bit (seen at x = 2.5e-4, d = 3), and (1+e^{-x})^power
+    # multiplies that by up to power, so the bound is 1e-15 plus one unit in
+    # the last place of 1+e^{-x} per unit of power
     xs = np.concatenate([np.geomspace(1e-300, 1e4, 601), np.linspace(1e-3, 60.0, 601)])
     for f, d, order, power in (
         (integrand_main, 3, 1, 4),
@@ -144,7 +144,7 @@ def test_float_and_array_paths_agree():
         arr = f(xs, d, order)
         for x, a in zip(xs.tolist(), arr.tolist()):
             s = f(x, d, order)
-            assert type(s) is float
+            assert isinstance(s, float)
             assert (s == a == 0.0) or abs(s - a) <= tol * max(abs(s), abs(a)), (
                 f.__name__, d, order, x, s, a)
 
@@ -228,8 +228,10 @@ def test_divergence_and_validation_guards():
         logdet_quadrature(5, 3)
     with pytest.raises(InvalidDimensionError):
         logdet_quadrature(6, 1)
-    with pytest.raises(DivergentDeterminantError):
+    with pytest.raises(DivergentDeterminantError, match=r"2\(j\+1\) > d \(d=5, j=2\)"):
         logdet_factor_quadrature(5, 2)
+    with pytest.raises(ValueError, match="j must be >= 0, got -1"):
+        logdet_factor_quadrature(5, -1)
     with pytest.raises(InvalidDimensionError):
         logdet_factor_quadrature(4, 0)
 
