@@ -35,18 +35,30 @@ def test_exponent_tables_k_le_5():
     assert rule_exponents(5) == [5, 20, 21, 8, 1]
 
 
-def test_exponents_are_the_chebyshev_split_up_to_40():
-    # U_{2k-1}(x) = x (u_0 + u_1 x^2 + ...): the u_j alternate in sign, and
-    # (-1)^{k-1+j} u_j / 2^{2j+1} is the exponent of dimension d - 2j
-    for k in range(1, 41):
-        u = chebyshev_u_recurrence_oracle(2 * k - 1)[1::2]
-        assert all(a * b < 0 for a, b in zip(u, u[1:])), k
+def chebyshev_split_oracle(k):
+    """The odd-power coefficients u_j of U_{2k-1}(x) = x (u_0 + u_1 x^2 + ...)."""
+    return chebyshev_u_recurrence_oracle(2 * k - 1)[1::2]
+
+
+def test_exponents_positive_and_dual_route_up_to_16():
+    # (-1)^{k-1+j} u_j / 2^{2j+1} is the exponent of dimension d - 2j: the
+    # Chebyshev construction must divide exactly and give the binomials
+    for k in range(1, 17):
+        v = rule_exponents(k)
+        assert all(e > 0 for e in v)
+        assert v[0] == k and v[-1] == 1
         split = []
-        for j, c in enumerate(u):
+        for j, c in enumerate(chebyshev_split_oracle(k)):
             q, r = divmod((-1) ** (k - 1 + j) * c, 2 ** (2 * j + 1))
             assert r == 0, (k, j)
             split.append(q)
-        assert rule_exponents(k) == split, k
+        assert v == split, k
+
+
+def test_u_split_alternates_in_sign():
+    for k in range(1, 17):
+        u = chebyshev_split_oracle(k)
+        assert all(a * b < 0 for a, b in zip(u, u[1:])), k
 
 
 def test_product_rule_structure():
