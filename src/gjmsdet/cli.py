@@ -111,6 +111,7 @@ def _cmd_logdet(args) -> int:
 
 
 def _cmd_quad(args) -> int:
+    _require("--tol", args.tol, quadrature._ABS_TOL_FLOOR)
     res = logdet_quadrature_result(args.d, args.k, QuadratureConfig(abs_tol=args.tol))
     print(f"log det P_{2 * args.k}({args.d}) ~ {res.value!r}")
     print(f"  error estimate: {res.error:.3e}")
@@ -205,6 +206,10 @@ def _cmd_sweep(args) -> int:
         if args.d_max is None:
             raise ValueError("--d-max is required with --fixed-k")
         d_min = args.d_min if args.d_min is not None else 2 * k + 1
+        if args.d_min is None and args.d_max < d_min:
+            raise ValueError(
+                f"--d-max must be >= 2k+1 = {d_min} with --fixed-k {k}, got {args.d_max}"
+            )
         if d_min % 2 == 0 or args.d_max < d_min:
             raise ValueError("invalid d range (need odd --d-min <= --d-max)")
         for d in range(d_min, args.d_max + 1, 2):

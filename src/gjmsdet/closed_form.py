@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 import mpmath as mp
 
@@ -148,9 +149,14 @@ def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
 
 @lru_cache(maxsize=None)
 def _basis(ctx: PrecisionContext) -> dict:
-    """Table record pi power -> [_basis_value of slot n's term for n = 0,
-    1, ...], grown by evaluate on first use: one context hash per call, not
-    one per term."""
+    """Table record pi power -> row [e, ints] of aligned basis values: slot
+    n's term is ints[n] * 2^e exactly, e the least exponent in the row.
+
+    evaluate grows a row slot by slot as records need more slots: it
+    computes _basis_value only for the new slots and, when one has a new
+    least exponent, shifts the ints already there.  One context hash per
+    call, not one per term.
+    """
     return {}
 
 
@@ -170,19 +176,27 @@ def _basis_value(n: int, pi_pow: int, ctx: PrecisionContext) -> tuple[int, int]:
 def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
     """Numeric value of an exact expression at the context's precision.
 
-    With the basis values b_n = man_n 2^exp_n, the sum of nums[n]/den b_n
-    is 2^e_min / den times the integer sum of nums[n] man_n 2^(exp_n -
-    e_min), e_min the least exponent.  That sum is exact, so the value is
-    rounded once, in the final division, after the basis values.
+    With the aligned basis values b_n = ints[n] 2^e, the sum of
+    nums[n]/den b_n is 2^e / den times the integer dot product of nums and
+    ints.  That product is exact, so the value is rounded once, in the
+    final division, after the basis values.  The value is kept on the
+    record per working precision and returned from there while it matches.
     """
-    p, nums = expr.pi_pow, expr.nums
-    row = _basis(ctx).setdefault(p, [])
-    for n in range(len(row), len(nums)):
-        row.append(_basis_value(n, p, ctx))
-    terms = [(c, *row[n]) for n, c in enumerate(nums) if c]
-    if not terms:
-        return mp.mpf(0)
-    e_min = min([e for _, _, e in terms])
-    total = sum(c * m << (e - e_min) for c, m, e in terms)
-    with mp.workdps(ctx.decimal_digits + 10):
-        return mp.ldexp(mp.fdiv(total, expr.den), e_min)
+    digits = ctx.decimal_digits
+    memo = expr._value
+    if memo is not None and memo[0] == digits:
+        return memo[1]
+    nums = expr.nums
+    row = _basis(ctx).setdefault(expr.pi_pow, [0, []])
+    e, ints = row
+    for n in range(len(ints), len(nums)):
+        man, exp = _basis_value(n, expr.pi_pow, ctx)
+        if not ints or exp < e:
+            ints[:] = [v << (e - exp) for v in ints]
+            e = row[0] = exp
+        ints.append(man << (exp - e))
+    total = sum(map(mul, nums, ints))
+    with mp.workdps(digits + 10):
+        value = mp.ldexp(mp.fdiv(total, expr.den), e)
+    object.__setattr__(expr, "_value", (digits, value))
+    return value

@@ -81,6 +81,8 @@ _START_PANELS = 16
 _PANEL_LIMIT = 2000
 # most integrand values one call holds (16 MB of doubles)
 _CHUNK_VALUES = 1 << 21
+# least abs_tol: the double-precision floor
+_ABS_TOL_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -90,10 +92,10 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not 1e-14 <= self.abs_tol < math.inf:  # also rejects nan
+        if not _ABS_TOL_FLOOR <= self.abs_tol < math.inf:  # also rejects nan
             raise ValueError(
-                f"abs_tol must be finite and >= 1e-14 (the double-precision floor), "
-                f"got {self.abs_tol}"
+                f"abs_tol must be finite and >= {_ABS_TOL_FLOOR} (the double-precision "
+                f"floor), got {self.abs_tol}"
             )
 
 

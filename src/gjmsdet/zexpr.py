@@ -12,10 +12,10 @@ All odd-sphere GJMS log-determinants live in this space, at ``pi_pow = 0``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 __all__ = ["Atom", "ONE", "LOG2", "ZetaExpr"]
 
@@ -64,11 +64,17 @@ class ZetaExpr:
     zero slots dropped, and the zero expression is ``(0, 1, ())``; so
     equality and hashing compare the fields.  Use :meth:`from_terms`,
     :meth:`log2` or :meth:`from_json` to build one from outside input.
+    Two private memos, filled on first use, are not part of the value:
+    equality, hashing and ``repr`` see only ``pi_pow, den, nums``.
     """
 
     pi_pow: int
     den: int
     nums: tuple
+    # (decimal digits, value), set by closed_form.evaluate
+    _value: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (num_0, den_0, num_1, den_1, ...), set by _reduced
+    _lowest: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.den:
@@ -109,14 +115,26 @@ class ZetaExpr:
 
     # -- inspection ---------------------------------------------------
 
-    def _reduced(self) -> Iterable[tuple[Atom, int, int, int]]:
+    def _reduced(self) -> Iterator[tuple[Atom, int, int, int]]:
         """Nonzero terms (atom, own pi power, num, den), each coefficient
-        num/den in lowest terms, in slot order."""
-        den = self.den
-        for n, c in enumerate(self.nums):
-            if c:
+        num/den in lowest terms, in slot order.
+
+        The coefficients are reduced once per record and kept as the flat
+        tuple (num_0, den_0, num_1, den_1, ...), a zero slot as 0, 1; every
+        renderer and :meth:`terms` read them from there.
+        """
+        lowest = self._lowest
+        if lowest is None:
+            den, flat = self.den, []
+            for c in self.nums:
                 g = gcd(c, den)
-                yield (*_term(n, self.pi_pow), c // g, den // g)
+                flat += (c // g, den // g)
+            lowest = tuple(flat)
+            object.__setattr__(self, "_lowest", lowest)
+        pairs = iter(lowest)
+        for n, (num, den) in enumerate(zip(pairs, pairs)):
+            if num:
+                yield (*_term(n, self.pi_pow), num, den)
 
     def terms(self) -> list[tuple[Atom, int, Fraction]]:
         """Nonzero terms (atom, own pi power, coeff) in the canonical order

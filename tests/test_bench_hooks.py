@@ -45,3 +45,19 @@ def test_package_caches_hold_the_keys_the_runner_reads(monkeypatch):
     caches = _load_worker(monkeypatch).package_caches()
     for key in READ_CACHES:
         assert hasattr(caches.get(key), "cache_info"), key
+
+
+def test_warm_query_corruption_reaches_memoized_values(monkeypatch, capsys):
+    # the benchmark's warm_queries corruption wraps cli.evaluate; a value
+    # memoized on the cached record must not let a query get round it
+    worker = _load_worker(monkeypatch)
+    cf, cli = gjmsdet.closed_form, gjmsdet.cli
+    cf.evaluate(cf.logdet_gjms(9, 2))
+    argv = ["logdet", "--d", "9", "--k", "2", "--format", "json"]
+    assert cli.main(argv) == 0
+    clean = capsys.readouterr().out
+    monkeypatch.setattr(cf, "evaluate", cf.evaluate)  # restored after the test
+    monkeypatch.setattr(cli, "evaluate", cli.evaluate)
+    worker._corrupt(gjmsdet, "warm_queries")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out != clean

@@ -74,8 +74,10 @@ def test_out_of_range_flags_exit_2(capsys):
         ("--tol", ["crosscheck", "--d-max", "3", "--tol", "-1"]),
         ("--tol", ["crosscheck", "--d-max", "3", "--tol", "nan"]),
         ("--tol", ["crosscheck", "--d-max", "3", "--tol", "inf"]),
-        ("abs_tol", ["quad", "--d", "5", "--k", "2", "--tol", "nan"]),
-        ("abs_tol", ["quad", "--d", "5", "--k", "2", "--tol", "inf"]),
+        ("--tol must be", ["quad", "--d", "5", "--k", "2", "--tol", "nan"]),
+        ("--tol must be", ["quad", "--d", "5", "--k", "2", "--tol", "inf"]),
+        ("--tol must be", ["quad", "--d", "5", "--k", "2", "--tol", "0"]),
+        ("--tol must be", ["quad", "--d", "5", "--k", "2", "--tol", "-1"]),
         ("--k", ["rule", "--k", "0"]),
         ("--fixed-d", ["sweep", "--fixed-d", "1"]),
         ("--fixed-d", ["sweep", "--fixed-d", "-3"]),
@@ -87,6 +89,7 @@ def test_out_of_range_flags_exit_2(capsys):
         ("--k-max", ["sweep", "--fixed-k", "1", "--d-max", "7", "--k-max", "9"]),
         ("--k-min", ["sweep", "--fixed-k", "1", "--d-max", "7", "--k-min", "1"]),
         ("--d-max is required", ["sweep", "--fixed-k", "1", "--d-min", "3"]),
+        ("--d-max must be >= 2k+1 = 7", ["sweep", "--fixed-k", "3", "--d-max", "5"]),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjmsdet import closed_form
 from gjmsdet.central_factorials import _central_poly
 from gjmsdet.closed_form import (
     PrecisionContext,
@@ -230,10 +232,61 @@ def test_cached_basis_values_follow_the_context():
         for e, value in zip(exprs, values):
             _basis.cache_clear()
             zeta_odd.cache_clear()
-            fresh = evaluate(e, PrecisionContext(n))
+            # a new equal record, whose value memo is empty
+            fresh = evaluate(ZetaExpr(e.pi_pow, e.den, e.nums), PrecisionContext(n))
             assert fresh == value and repr(fresh) == repr(value), (n, e)
     for lo, hi in zip(cached[0], cached[1]):
         assert abs(lo - hi) < mp.mpf("1e-19") and lo != hi
+
+
+def test_value_memo_follows_the_context():
+    # a record keeps one value, for the last precision it was evaluated at;
+    # switching back must not return the value of the other precision
+    e = ZetaExpr(0, 3**40, tuple(range(-7, 30, 3)))
+    for n in (20, 60, 20):
+        got = evaluate(e, PrecisionContext(n))
+        want = evaluate(ZetaExpr(e.pi_pow, e.den, e.nums), PrecisionContext(n))
+        assert got._mpf_ == want._mpf_ and repr(got) == repr(want), n
+
+
+def test_memos_leave_equality_hash_and_repr_alone():
+    used = logdet_gjms(15, 3)
+    untouched = ZetaExpr(used.pi_pow, used.den, used.nums)
+    evaluate(used, PrecisionContext(30))
+    str(used), used.to_latex(), used.to_json(), used.terms()
+    assert used._value is not None and used._lowest is not None
+    assert untouched._value is None and untouched._lowest is None
+    assert used == untouched and hash(used) == hash(untouched)
+    assert repr(used) == repr(untouched)
+
+
+def test_basis_rows_grow_one_slot_at_a_time(monkeypatch):
+    # ascending d grows the pi^0 row by one slot per item: each basis value
+    # is computed once, and shifting the row to a new least exponent changes
+    # no value against a row built from empty for that record alone
+    calls = Counter()
+
+    def counted(n, pi_pow, ctx):
+        calls[n, pi_pow] += 1
+        return basis_value(n, pi_pow, ctx)
+
+    basis_value = closed_form._basis_value
+    monkeypatch.setattr(closed_form, "_basis_value", counted)
+    exprs = [logdet_gjms(d, 1) for d in range(3, 252, 2)]
+    exprs = [ZetaExpr(e.pi_pow, e.den, e.nums) for e in exprs]
+    _basis.cache_clear()
+    grown = [evaluate(e) for e in exprs]
+    assert calls == Counter({(n, 0): 1 for n in range(len(exprs[-1].nums))})
+    for e, value in zip(exprs, grown):
+        _basis.cache_clear()
+        fresh = evaluate(ZetaExpr(e.pi_pow, e.den, e.nums))
+        assert fresh._mpf_ == value._mpf_ and repr(fresh) == repr(value), e
+        # the same sum aligned per record, without a shared row
+        basis = [basis_value(n, 0, PrecisionContext()) for n in range(len(e.nums))]
+        e_min = min(exp for _, exp in basis)
+        total = sum(c * man << (exp - e_min) for c, (man, exp) in zip(e.nums, basis))
+        with mp.workdps(60):
+            assert mp.ldexp(mp.fdiv(total, e.den), e_min)._mpf_ == value._mpf_, e
 
 
 def test_evaluate_matches_direct_high_precision_sum():

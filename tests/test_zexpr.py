@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -245,3 +246,10 @@ def test_log2_rejects_inexact_coefficients():
             ZetaExpr.log2(coeff)
     with pytest.raises(ValueError):
         ZetaExpr.log2(1, 1.0)
+
+
+def test_only_the_value_fields_compare():
+    # the private memos are not part of the value
+    assert {f.name for f in fields(ZetaExpr) if f.compare} == {"pi_pow", "den", "nums"}
+    e = ZetaExpr(2, 6, (3, 0, -4))
+    assert repr(e) == "ZetaExpr(pi_pow=2, den=6, nums=(3, 0, -4))"
