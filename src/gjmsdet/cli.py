@@ -189,31 +189,32 @@ def _cmd_sweep(args) -> int:
     for flag, value in stray.items():
         if value is not None:
             raise ValueError(f"{flag} does not apply with {fixed}")
-    rows = []
+    # a defaulted end is the axis bound, so only an end the user gave can fail
     if args.fixed_d is not None:
         d = args.fixed_d
         if d < 3 or d % 2 == 0:
             raise InvalidDimensionError(f"--fixed-d must be an odd integer >= 3, got {d}")
-        k_min = args.k_min if args.k_min is not None else 1
-        _require("--k-min", k_min, 1)
-        k_max = args.k_max if args.k_max is not None else (d - 1) // 2
+        top = (d - 1) // 2
+        k_min = 1 if args.k_min is None else args.k_min
+        k_max = top if args.k_max is None else args.k_max
+        for flag, k in (("--k-min", k_min), ("--k-max", k_max)):
+            _require(flag, k, 1)
+            if k > top:
+                raise ValueError(f"{flag} must be <= (d-1)/2 = {top} with {fixed} {d}, got {k}")
         _require("--k-max", k_max, k_min)
-        for k in range(k_min, k_max + 1):
-            rows.append((d, k))
+        rows = [(d, k) for k in range(k_min, k_max + 1)]
     else:
         k = args.fixed_k
         _require("--fixed-k", k, 1)
         if args.d_max is None:
             raise ValueError("--d-max is required with --fixed-k")
-        d_min = args.d_min if args.d_min is not None else 2 * k + 1
-        if args.d_min is None and args.d_max < d_min:
-            raise ValueError(
-                f"--d-max must be >= 2k+1 = {d_min} with --fixed-k {k}, got {args.d_max}"
-            )
+        d_min = 2 * k + 1 if args.d_min is None else args.d_min
+        for flag, d in (("--d-min", d_min), ("--d-max", args.d_max)):
+            if d < 2 * k + 1:
+                raise ValueError(f"{flag} must be >= 2k+1 = {2 * k + 1} with {fixed} {k}, got {d}")
         if d_min % 2 == 0 or args.d_max < d_min:
             raise ValueError("invalid d range (need odd --d-min <= --d-max)")
-        for d in range(d_min, args.d_max + 1, 2):
-            rows.append((d, k))
+        rows = [(d, k) for d in range(d_min, args.d_max + 1, 2)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["d", "k", "logdet"])
@@ -227,37 +228,27 @@ def _cmd_sweep(args) -> int:
 def _cmd_tables(args) -> int:
     ctx = _precision()
     out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     if args.d_norlund:
         m_max, k_max = args.d_norlund
         _require("--d-norlund M_MAX", m_max, 1)
         _require("--d-norlund K_MAX", k_max, 0)
-        grid = {
-            (m, k): d_norlund(m, k)
-            for m in range(1, m_max + 1)
-            for k in range(0, k_max + 1)
-        }
+        rows = [[d_norlund(m, k) for k in range(k_max + 1)] for m in range(1, m_max + 1)]
         if args.format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["m"] + [f"k={k}" for k in range(k_max + 1)])
-            for m in range(1, m_max + 1):
-                writer.writerow([m] + [str(grid[m, k]) for k in range(k_max + 1)])
-        elif args.format == "latex":
-            for m in range(1, m_max + 1):
-                row = (grid[m, k] for k in range(k_max + 1))
+        elif args.format == "plain":
+            width = max(len(str(q)) for row in rows for q in row) + 2
+            out.write("m\\k " + "".join(f"{k:>{width}}" for k in range(k_max + 1)) + "\n")
+        for m, row in enumerate(rows, 1):
+            if args.format == "csv":
+                writer.writerow([m, *row])
+            elif args.format == "latex":
                 cells = [ZetaExpr(0, q.denominator, (q.numerator,)).to_latex() for q in row]
                 out.write(f"$m={m}$ & " + " & ".join(f"${c}$" for c in cells) + r" \\" + "\n")
-        else:
-            width = max(len(str(v)) for v in grid.values()) + 2
-            out.write("m\\k " + "".join(f"{k:>{width}}" for k in range(k_max + 1)) + "\n")
-            for m in range(1, m_max + 1):
-                out.write(
-                    f"{m:>3} "
-                    + "".join(f"{str(grid[m, k]):>{width}}" for k in range(k_max + 1))
-                    + "\n"
-                )
+            else:
+                out.write(f"{m:>3} " + "".join(f"{str(q):>{width}}" for q in row) + "\n")
     elif args.f is not None:
         _require("--f", args.f, 0)
-        writer = csv.writer(out, lineterminator="\n")
         if args.format == "csv":
             writer.writerow(["m", "exact", "value"])
         for m in range(args.f + 1):
@@ -269,22 +260,17 @@ def _cmd_tables(args) -> int:
                 rendered = e.to_latex() if args.format == "latex" else str(e)
                 out.write(f"f_{m} = {rendered} ~ {value}\n")
     else:
-        n_max = args.central
-        _require("--central", n_max, 1)
+        _require("--central", args.central, 1)
         if args.format == "latex":
             raise ValueError("--format latex does not apply with --central")
         if args.format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["n", "k", "t(n,k)"])
-            for n in range(1, n_max + 1, 2):
-                for k in range(1, n + 1, 2):
-                    writer.writerow([n, k, str(central_t(n, k))])
-        else:
-            for n in range(1, n_max + 1, 2):
-                cells = [
-                    f"t({n},{k})={central_t(n, k)}" for k in range(1, n + 1, 2)
-                ]
-                out.write("  ".join(cells) + "\n")
+        for n in range(1, args.central + 1, 2):
+            row = [(k, central_t(n, k)) for k in range(1, n + 1, 2)]
+            if args.format == "csv":
+                writer.writerows([n, k, t] for k, t in row)
+            else:
+                out.write("  ".join(f"t({n},{k})={t}" for k, t in row) + "\n")
     _emit(out.getvalue(), args.out)
     return 0
 

@@ -28,7 +28,7 @@ import mpmath as mp
 from .central_factorials import _central_poly
 from .errors import validate_d_k
 from .norlund import d_norlund  # noqa: F401  (a hook site the benchmark tracer patches)
-from .zexpr import ZetaExpr
+from .zexpr import LOG2, ONE, ZetaExpr, _term
 
 __all__ = [
     "PrecisionContext",
@@ -163,13 +163,9 @@ def _basis(ctx: PrecisionContext) -> dict:
 def _basis_value(n: int, pi_pow: int, ctx: PrecisionContext) -> tuple[int, int]:
     """Signed mantissa and exponent of slot n's term in a record with power
     pi_pow, at the working precision evaluate uses for ctx."""
+    atom, pi_pow = _term(n, pi_pow)
     with mp.workdps(ctx.decimal_digits + 10):
-        if n == 0:
-            base = mp.mpf(1)
-        elif n == 1:
-            base = mp.log(2)
-        else:
-            base, pi_pow = zeta_odd(2 * n - 1, ctx), pi_pow - 2 * n + 2
+        base = mp.mpf(1) if atom == ONE else mp.log(2) if atom == LOG2 else zeta_odd(atom, ctx)
         return (base * mp.pi**pi_pow).man_exp
 
 

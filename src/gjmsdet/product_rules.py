@@ -42,20 +42,19 @@ class ProductRule:
     k: int
     factors: tuple[tuple[int, int], ...]
 
+    def _args(self, abstract: bool) -> list[tuple[str, int]]:
+        """(argument, exponent) per factor; abstract arguments are d, d-2, ..."""
+        return [
+            (("d" if idx == 0 else f"d-{2 * idx}") if abstract else str(dim), exp)
+            for idx, (dim, exp) in enumerate(self.factors)
+        ]
+
     def render(self, abstract: bool = False) -> str:
-        pieces = []
-        for idx, (dim, exp) in enumerate(self.factors):
-            arg = ("d" if idx == 0 else f"d-{2 * idx}") if abstract else str(dim)
-            name = f"P_2({arg})"
-            pieces.append(name if exp == 1 else f"{name}^{exp}")
+        pieces = (f"P_2({a})" if e == 1 else f"P_2({a})^{e}" for a, e in self._args(abstract))
         return f"P_{2 * self.k} ~ " + " * ".join(pieces)
 
     def render_latex(self, abstract: bool = False) -> str:
-        pieces = []
-        for idx, (dim, exp) in enumerate(self.factors):
-            arg = ("d" if idx == 0 else f"d-{2 * idx}") if abstract else str(dim)
-            sup = "" if exp == 1 else f"^{{{exp}}}"
-            pieces.append(f"P_2{sup}({arg})")
+        pieces = (f"P_2({a})" if e == 1 else f"P_2^{{{e}}}({a})" for a, e in self._args(abstract))
         return f"P_{{{2 * self.k}}} \\sim " + "".join(pieces)
 
 

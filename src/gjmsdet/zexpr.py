@@ -91,8 +91,7 @@ class ZetaExpr:
 
     @classmethod
     def log2(cls, coeff, pi_pow: int = 0) -> "ZetaExpr":
-        c = _exact(pi_pow, coeff)
-        return cls(pi_pow, c.denominator, (0, c.numerator))
+        return cls.from_terms([(LOG2, pi_pow, coeff)])
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[Atom, int, Fraction]]) -> "ZetaExpr":
@@ -191,8 +190,14 @@ class ZetaExpr:
             if isinstance(atom, int) and pi_pow < 0:
                 body = rf"\frac{{\zeta({atom})}}{{\pi^{{{-pi_pow}}}}}"
             else:
-                pi = "" if not pi_pow else r"\pi" if pi_pow == 1 else rf"\pi^{{{pi_pow}}}"
-                body = ("" if atom == ONE else r"\log 2" if atom == LOG2 else rf"\zeta({atom})") + pi
+                p = abs(pi_pow) if atom == LOG2 else pi_pow
+                pi = "" if not p else r"\pi" if p == 1 else rf"\pi^{{{p}}}"
+                if atom != LOG2:
+                    body = ("" if atom == ONE else rf"\zeta({atom})") + pi
+                elif pi_pow < 0:  # \log 2\pi^{-1} would read as log(2/pi)
+                    body = rf"\frac{{\log 2}}{{{pi}}}"
+                else:
+                    body = r"\log 2" + (pi and rf"\,{pi}")
             piece = cs if body == "" else (rf"{cs}\,{body}" if cs != "1" else body)
             out += ("-" if num < 0 else "+") + piece
         return "0" if not out else out[1:] if out[0] == "+" else out

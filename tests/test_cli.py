@@ -90,6 +90,13 @@ def test_out_of_range_flags_exit_2(capsys):
         ("--k-min", ["sweep", "--fixed-k", "1", "--d-max", "7", "--k-min", "1"]),
         ("--d-max is required", ["sweep", "--fixed-k", "1", "--d-min", "3"]),
         ("--d-max must be >= 2k+1 = 7", ["sweep", "--fixed-k", "3", "--d-max", "5"]),
+        ("--d-min must be >= 2k+1 = 7 with --fixed-k 3, got 3",
+         ["sweep", "--fixed-k", "3", "--d-min", "3", "--d-max", "9"]),
+        ("--k-max must be <= (d-1)/2 = 3 with --fixed-d 7, got 9",
+         ["sweep", "--fixed-d", "7", "--k-max", "9"]),
+        ("--k-min must be <= (d-1)/2 = 3 with --fixed-d 7, got 5",
+         ["sweep", "--fixed-d", "7", "--k-min", "5"]),
+        ("--d-max", ["crosscheck", "--d-max", "4"]),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -357,6 +364,83 @@ def test_tables_central(capsys):
     assert code == 0
     assert "3,1,-1/4" in out
     assert "7,7,1" in out
+
+
+PINNED = {
+    "tables --d-norlund 3 3": """\
+m\\k         0        1        2        3
+  1         1     -1/3     7/15   -31/21
+  2         1     -2/3      8/5  -160/21
+  3         1       -1     17/5  -457/21
+""",
+    "tables --d-norlund 3 3 --format csv": """\
+m,k=0,k=1,k=2,k=3
+1,1,-1/3,7/15,-31/21
+2,1,-2/3,8/5,-160/21
+3,1,-1,17/5,-457/21
+""",
+    "tables --d-norlund 3 3 --format latex": r"""$m=1$ & $1$ & $-\frac{1}{3}$ & $\frac{7}{15}$ & $-\frac{31}{21}$ \\
+$m=2$ & $1$ & $-\frac{2}{3}$ & $\frac{8}{5}$ & $-\frac{160}{21}$ \\
+$m=3$ & $1$ & $-1$ & $\frac{17}{5}$ & $-\frac{457}{21}$ \\
+""",
+    "tables --f 3": """\
+f_0 = 1/2 ~ 0.5
+f_1 = log2*pi^-1 ~ 0.2206356002
+f_2 = 1/6 ~ 0.1666666667
+f_3 = 1/2*log2*pi^-1 + 3/4*zeta(3)*pi^-3 ~ 0.1393939348
+""",
+    "tables --f 3 --format csv": """\
+m,exact,value
+0,1/2,0.5
+1,log2*pi^-1,0.2206356002
+2,1/6,0.1666666667
+3,1/2*log2*pi^-1 + 3/4*zeta(3)*pi^-3,0.1393939348
+""",
+    # log 2 over pi as a fraction: \log 2\pi^{-1} would read as log(2/pi)
+    "tables --f 3 --format latex": r"""f_0 = \frac{1}{2} ~ 0.5
+f_1 = \frac{\log 2}{\pi} ~ 0.2206356002
+f_2 = \frac{1}{6} ~ 0.1666666667
+f_3 = \frac{1}{2}\,\frac{\log 2}{\pi}+\frac{3}{4}\,\frac{\zeta(3)}{\pi^{3}} ~ 0.1393939348
+""",
+    "tables --central 5": """\
+t(1,1)=1
+t(3,1)=-1/4  t(3,3)=1
+t(5,1)=9/16  t(5,3)=-5/2  t(5,5)=1
+""",
+    "tables --central 5 --format csv": """\
+n,k,"t(n,k)"
+1,1,1
+3,1,-1/4
+3,3,1
+5,1,9/16
+5,3,-5/2
+5,5,1
+""",
+    "tables --central 5 --format latex": None,  # no LaTeX form: exit 2
+    "sweep --fixed-d 7": """\
+d,k,logdet
+7,1,0.00159466155346957
+7,2,-0.0082966596163551
+7,3,0.0864541633196281
+""",
+    "sweep --fixed-k 2 --d-max 11": """\
+d,k,logdet
+5,2,0.104642144105808
+7,2,-0.0082966596163551
+9,2,0.00107018125734087
+11,2,-0.000167620087374777
+""",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED)
+def test_tables_and_sweep_print_pinned_text(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    expected = PINNED[argv]
+    if expected is None:
+        assert (code, out) == (2, "") and err.startswith("error: --format latex"), err
+    else:
+        assert (code, out, err) == (0, expected, "")
 
 
 def test_precision_env_override(capsys, monkeypatch):

@@ -80,6 +80,20 @@ def test_latex_rendering_mentions_all_pieces():
     assert r"\frac{7}{32}" in tex and r"\frac{13}{32}" in tex
 
 
+def test_latex_log2_keeps_pi_out_of_the_logarithm():
+    # \log 2\pi^{-1} would read as log(2/pi): a negative power is a
+    # denominator, a positive one follows a thin space
+    for coeff, pi_pow, tex in (
+        (1, 0, r"\log 2"),
+        (1, -1, r"\frac{\log 2}{\pi}"),
+        (Fraction(-3, 4), -3, r"-\frac{3}{4}\,\frac{\log 2}{\pi^{3}}"),
+        (5, 2, r"5\,\log 2\,\pi^{2}"),
+    ):
+        assert ZetaExpr.log2(coeff, pi_pow).to_latex() == tex
+    f_3 = ZetaExpr.from_terms([(LOG2, -1, Fraction(1, 2)), (3, -3, Fraction(3, 4))])
+    assert f_3.to_latex() == r"\frac{1}{2}\,\frac{\log 2}{\pi}+\frac{3}{4}\,\frac{\zeta(3)}{\pi^{3}}"
+
+
 def test_json_roundtrip_is_byte_stable():
     e = ZetaExpr(0, 64, (0, 14, -26, 15))
     text = e.to_json()
@@ -241,6 +255,7 @@ def test_canonical_form_under_scaling(e, p, s, pad, w):
 def test_log2_rejects_inexact_coefficients():
     assert ZetaExpr.log2(Fraction(1, 2**64)) == ZetaExpr(0, 2**64, (0, 1))
     assert ZetaExpr.log2(-3, 2) == ZetaExpr(2, 1, (0, -3))
+    assert ZetaExpr.log2(0) == ZetaExpr.log2(0, 5) == ZetaExpr(0, 1, ())
     for coeff in (0.1, 0.5, Decimal("0.1"), True, "1/2", 1j):
         with pytest.raises(ValueError):
             ZetaExpr.log2(coeff)
