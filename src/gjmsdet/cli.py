@@ -99,14 +99,9 @@ def _cmd_logdet(args) -> int:
     elif args.format == "latex":
         print(expr.to_latex())
         print(f"% ~ {mp.nstr(value, args.digits)}")
-    else:  # json
-        payload = {
-            "d": args.d,
-            "k": args.k,
-            "terms": expr.to_json_obj(),
-            "value": mp.nstr(value, args.digits),
-        }
-        print(json.dumps(payload, separators=(",", ":")))
+    else:  # json: the terms go in as to_json wrote them, not re-encoded
+        shown = json.dumps(mp.nstr(value, args.digits))
+        print(f'{{"d":{args.d},"k":{args.k},"terms":{expr.to_json()},"value":{shown}}}')
     return 0
 
 

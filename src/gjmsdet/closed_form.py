@@ -107,7 +107,9 @@ def f_expr(m: int) -> ZetaExpr:
     return f_odd((m - 1) // 2)
 
 
-@lru_cache(maxsize=None)
+# crosscheck reads each k >= 2 record once and each k = 1 record again at most
+# d + 1 records later: 1024 = quadrature.D_MAX_FLOAT64 + 1 keeps every reuse
+@lru_cache(maxsize=1024)
 def logdet_gjms(d: int, k: int) -> ZetaExpr:
     """Exact log det P_2k on the round unit d-sphere, d odd, 2k <= d.
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
@@ -56,6 +57,30 @@ def _exact(pi_pow, coeff) -> Fraction:
     return Fraction(coeff)
 
 
+@lru_cache(maxsize=4096)  # bounded: from_json records may carry any power of pi
+def _atom_text(n: int, pi_pow: int) -> tuple[str, str, str]:
+    r"""Slot n's atom and own pi power in a record of power pi_pow as (plain,
+    LaTeX, JSON) text: ``zeta(3)*pi^-2``, ``\frac{\zeta(3)}{\pi^{2}}`` and the
+    JSON term up to its coefficient's opening quote; 1 at pi^0 is ``""``."""
+    atom, p = _term(n, pi_pow)
+    plain = [] if atom == ONE else ["log2" if atom == LOG2 else f"zeta({atom})"]
+    if p:
+        plain.append(f"pi^{p}" if p != 1 else "pi")
+    if isinstance(atom, int) and p < 0:
+        tex = rf"\frac{{\zeta({atom})}}{{\pi^{{{-p}}}}}"
+    else:
+        q = abs(p) if atom == LOG2 else p
+        pi = "" if not q else r"\pi" if q == 1 else rf"\pi^{{{q}}}"
+        if atom != LOG2:
+            tex = ("" if atom == ONE else rf"\zeta({atom})") + pi
+        elif p < 0:  # \log 2\pi^{-1} would read as log(2/pi)
+            tex = rf"\frac{{\log 2}}{{{pi}}}"
+        else:
+            tex = r"\log 2" + (pi and rf"\,{pi}")
+    js = f'{{"zeta":{atom}}}' if isinstance(atom, int) else f'"{atom}"'
+    return "*".join(plain), tex, f'{{"atom":{js},"pi_pow":{p},"coeff":"'
+
+
 @dataclass(frozen=True, slots=True)
 class ZetaExpr:
     """Immutable dense expression ``pi^pi_pow * sum_n nums[n]/den * b_n``.
@@ -73,7 +98,7 @@ class ZetaExpr:
     nums: tuple
     # (decimal digits, value), set by closed_form.evaluate
     _value: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (num_0, den_0, num_1, den_1, ...), set by _reduced
+    # the nonzero slots (n, num, den) in lowest terms, set by _reduced
     _lowest: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -114,31 +139,25 @@ class ZetaExpr:
 
     # -- inspection ---------------------------------------------------
 
-    def _reduced(self) -> Iterator[tuple[Atom, int, int, int]]:
-        """Nonzero terms (atom, own pi power, num, den), each coefficient
-        num/den in lowest terms, in slot order.
-
-        The coefficients are reduced once per record and kept as the flat
-        tuple (num_0, den_0, num_1, den_1, ...), a zero slot as 0, 1; every
-        renderer and :meth:`terms` read them from there.
-        """
+    def _reduced(self) -> Iterator[tuple[int, int, int]]:
+        """Nonzero slots (n, num, den), num/den in lowest terms, in slot order;
+        reduced once per record and kept for every renderer and :meth:`terms`."""
         lowest = self._lowest
         if lowest is None:
             den, flat = self.den, []
-            for c in self.nums:
-                g = gcd(c, den)
-                flat += (c // g, den // g)
+            for n, c in enumerate(self.nums):
+                if c:
+                    g = gcd(c, den)
+                    flat += (n, c // g, den // g)
             lowest = tuple(flat)
             object.__setattr__(self, "_lowest", lowest)
-        pairs = iter(lowest)
-        for n, (num, den) in enumerate(zip(pairs, pairs)):
-            if num:
-                yield (*_term(n, self.pi_pow), num, den)
+        triples = iter(lowest)
+        return zip(triples, triples, triples)
 
     def terms(self) -> list[tuple[Atom, int, Fraction]]:
         """Nonzero terms (atom, own pi power, coeff) in the canonical order
         1, log 2, zeta(3), zeta(5), ..., which is slot order."""
-        return [(a, p, Fraction(c, q)) for a, p, c, q in self._reduced()]
+        return [(*_term(n, self.pi_pow), Fraction(c, q)) for n, c, q in self._reduced()]
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -172,46 +191,34 @@ class ZetaExpr:
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
-        out = ""
-        for atom, pi_pow, num, den in self._reduced():
-            factors = [] if atom == ONE else ["log2" if atom == LOG2 else f"zeta({atom})"]
-            if pi_pow:
-                factors.append(f"pi^{pi_pow}" if pi_pow != 1 else "pi")
+        parts = []
+        for n, num, den in self._reduced():
+            atom = _atom_text(n, self.pi_pow)[0]
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            piece = "*".join(factors if mag == "1" and factors else [mag, *factors])
-            out += (" - " if num < 0 else " + ") + piece
+            piece = atom if mag == "1" and atom else f"{mag}*{atom}" if atom else mag
+            parts += (" - " if num < 0 else " + ", piece)
+        out = "".join(parts)
         return "0" if not out else out[3:] if out[1] == "+" else "-" + out[3:]
 
     def to_latex(self) -> str:
         """LaTeX rendering, zeta terms written as fractions over pi powers."""
-        out = ""
-        for atom, pi_pow, num, den in self._reduced():
+        parts = []
+        for n, num, den in self._reduced():
+            atom = _atom_text(n, self.pi_pow)[1]
             cs = str(abs(num)) if den == 1 else rf"\frac{{{abs(num)}}}{{{den}}}"
-            if isinstance(atom, int) and pi_pow < 0:
-                body = rf"\frac{{\zeta({atom})}}{{\pi^{{{-pi_pow}}}}}"
-            else:
-                p = abs(pi_pow) if atom == LOG2 else pi_pow
-                pi = "" if not p else r"\pi" if p == 1 else rf"\pi^{{{p}}}"
-                if atom != LOG2:
-                    body = ("" if atom == ONE else rf"\zeta({atom})") + pi
-                elif pi_pow < 0:  # \log 2\pi^{-1} would read as log(2/pi)
-                    body = rf"\frac{{\log 2}}{{{pi}}}"
-                else:
-                    body = r"\log 2" + (pi and rf"\,{pi}")
-            piece = cs if body == "" else (rf"{cs}\,{body}" if cs != "1" else body)
-            out += ("-" if num < 0 else "+") + piece
+            piece = cs if not atom else atom if cs == "1" else rf"{cs}\,{atom}"
+            parts += ("-" if num < 0 else "+", piece)
+        out = "".join(parts)
         return "0" if not out else out[1:] if out[0] == "+" else out
 
     def to_json_obj(self) -> list[dict]:
-        out = []
-        for atom, pi_pow, num, den in self._reduced():
-            a = {"zeta": atom} if isinstance(atom, int) else atom
-            out.append({"atom": a, "pi_pow": pi_pow, "coeff": f"{num}/{den}"})
-        return out
+        """The terms as fresh JSON objects, parsed from :meth:`to_json`."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """Deterministic JSON rendering; byte-stable for equal expressions."""
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        """Deterministic JSON, written as ``json.dumps`` with separators ``,`` and ``:``."""
+        terms = [f'{_atom_text(n, self.pi_pow)[2]}{num}/{den}"}}' for n, num, den in self._reduced()]
+        return "[" + ",".join(terms) + "]"
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "ZetaExpr":

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -6,9 +7,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
-from gjmsdet import cli, quadrature
+from gjmsdet import cli, closed_form, product_rules, quadrature
+from gjmsdet.closed_form import evaluate, logdet_gjms
 from gjmsdet.cli import main
 from gjmsdet.quadrature import QuadratureConfig
 from gjmsdet.zexpr import ZetaExpr
@@ -18,6 +21,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("d, k, digits", [(3, 1, 10), (5, 2, 10), (9, 4, 1), (41, 7, 30), (61, 30, 50)])
+def test_logdet_json_is_the_payload_json_dumps_gives(capsys, d, k, digits):
+    # the terms are written into the payload as to_json wrote them; the
+    # bytes are those of encoding the whole payload at once
+    code, out, _ = run(capsys, "logdet", "--d", str(d), "--k", str(k), "--format", "json",
+                       "--digits", str(digits))
+    assert code == 0
+    expr = logdet_gjms(d, k)
+    payload = {"d": d, "k": k, "terms": expr.to_json_obj(),
+               "value": mp.nstr(evaluate(expr), digits)}
+    assert out == json.dumps(payload, separators=(",", ":")) + "\n"
+    assert json.loads(out) == payload
+    assert ZetaExpr.from_json_obj(json.loads(out)["terms"]) == expr
 
 
 def test_logdet_plain(capsys):
@@ -177,6 +195,23 @@ def test_crosscheck_past_float64_limit_fails_before_any_row(capsys, monkeypatch)
     assert out == ""
     assert err.startswith("error: --d-max") and "d <= 7, got d=9" in err
     assert err.count("\n") == 1
+
+
+def test_crosscheck_recomputes_no_record_under_the_bounded_cache(capsys, monkeypatch):
+    # the exact-record cache holds D_MAX_FLOAT64 + 1 records, fewer than the
+    # 1,275 that crosscheck --d-max 101 makes; yet none is computed twice,
+    # and the output is that of an unbounded cache
+    cached = closed_form.logdet_gjms
+    assert cached.cache_info().maxsize == quadrature.D_MAX_FLOAT64 + 1
+    cached.cache_clear()
+    code, out, _ = run(capsys, "crosscheck", "--d-max", "101")
+    info = cached.cache_info()
+    cached.cache_clear()
+    assert code == 0 and info.misses == 1275 and info.currsize <= 1024
+    unbounded = functools.lru_cache(maxsize=None)(cached.__wrapped__)
+    for module in (closed_form, product_rules, cli):
+        monkeypatch.setattr(module, "logdet_gjms", unbounded)
+    assert run(capsys, "crosscheck", "--d-max", "101") == (0, out, "")
 
 
 def test_crosscheck_runs_each_quadrature_once(capsys, monkeypatch):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import render_oracle
+from gjmsdet.closed_form import f_expr, logdet_gjms
 from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
 from sparse_terms import add, dense, record, scale, shift_pi, sparse, term
 
@@ -153,7 +155,7 @@ atoms = st.one_of(
 )
 
 
-def layout_terms(pi_pow):
+def layout_terms(pi_pow, coeffs=coeffs, atoms=atoms):
     """Term lists (atom, own pi power, coeff) that fit the record power
     pi_pow, atoms repeated and in any order."""
     return st.lists(
@@ -268,3 +270,44 @@ def test_only_the_value_fields_compare():
     assert {f.name for f in fields(ZetaExpr) if f.compare} == {"pi_pow", "den", "nums"}
     e = ZetaExpr(2, 6, (3, 0, -4))
     assert repr(e) == "ZetaExpr(pi_pow=2, den=6, nums=(3, 0, -4))"
+
+
+def _renders_as_oracle(e):
+    assert str(e) == render_oracle.plain(e)
+    assert e.to_latex() == render_oracle.latex(e)
+    assert e.to_json() == render_oracle.json_text(e)
+    assert e.to_json_obj() == render_oracle.json_obj(e)
+
+
+# every atom up to zeta(25), coefficients 1, -1, 0, integers and fractions
+# of either sign; with record powers -6..6 each atom's own power of pi takes
+# both signs, 0 and 1
+render_coeffs = st.one_of(
+    st.sampled_from([1, -1, 0]),
+    st.integers(-(10**12), 10**12),
+    st.fractions(max_denominator=10**6),
+)
+render_atoms = st.one_of(st.just(ONE), st.just(LOG2), st.integers(1, 12).map(lambda j: 2 * j + 1))
+
+
+@given(st.integers(-6, 6).flatmap(lambda p: layout_terms(p, render_coeffs, render_atoms)))
+def test_renderers_match_the_oracle(terms):
+    _renders_as_oracle(ZetaExpr.from_terms(terms))
+
+
+def test_renderers_match_the_oracle_on_every_logdet_and_f():
+    for d in range(3, 62, 2):
+        for k in range(1, (d - 1) // 2 + 1):
+            _renders_as_oracle(logdet_gjms(d, k))
+    for m in range(80):
+        _renders_as_oracle(f_expr(m))
+    _renders_as_oracle(ZetaExpr(0, 1, ()))
+
+
+def test_json_obj_is_a_fresh_parse_of_the_json_text():
+    e = ZetaExpr(0, 64, (0, 14, -26, 15))
+    obj = e.to_json_obj()
+    assert json.dumps(obj, separators=(",", ":")) == e.to_json()
+    obj[0]["coeff"] = "0/1"
+    obj.pop()
+    assert e.to_json_obj() == render_oracle.json_obj(e) and e.to_json_obj() is not e.to_json_obj()
