@@ -15,6 +15,9 @@ For odd arguments the t(*, *) are tied to the Norlund numbers by
 and D^(2m)_{2m} is an integral of x^[2m+1] / x.  Through these the rows of
 x^[2m+1] supply every residue constant f_m (see :mod:`gjmsdet.closed_form`);
 the tests check the identity against the Norlund recursion.
+
+x^[n] has the parity of n, so the integer rows 4^(n//2) x^[n] keep only the
+coefficients of x^(n%2), x^(n%2+2), ..., x^n; central_t alone maps k to a slot.
 """
 
 from __future__ import annotations
@@ -24,25 +27,19 @@ from fractions import Fraction
 __all__ = ["central_t"]
 
 
-# rows 4^(n//2) x^[n] as ascending integer monomial coefficients, one growing
-# list per parity, seeded with x^[0] = 1 and x^[1] = x and extended by
-# x^[r+2] = x^[r] (x^2 - r^2/4), which on the scaled rows reads
-# row[p] = 4 last[p-2] - r^2 last[p]
-_CENTRAL: tuple[list[tuple[int, ...]], ...] = ([(1,)], [(0, 1)])
+# rows 4^(n//2) x^[n], seeded with x^[0] = 1 and x^[1] = x; on them
+# x^[r+2] = x^[r] (x^2 - r^2/4) reads row[i] = 4 last[i-1] - r^2 last[i]
+_CENTRAL: tuple[list[tuple[int, ...]], ...] = ([(1,)], [(1,)])
 
 
 def _central_poly(n: int) -> tuple[int, ...]:
-    """Ascending monomial coefficients of 4^(n//2) x^[n], memoized up to the
-    largest n."""
+    """Coefficients of x^(n%2), x^(n%2+2), ..., x^n in 4^(n//2) x^[n],
+    memoized up to the largest n."""
     rows = _CENTRAL[n % 2]
     while len(rows) <= n // 2:
         last = rows[-1]
-        r = 2 * len(rows) - 2 + n % 2  # last is 4^(r//2) x^[r]
-        r2 = r * r
-        row = [0, 0, *(4 * c for c in last)]
-        for p, c in enumerate(last):
-            row[p] -= r2 * c
-        rows.append(tuple(row))
+        r2 = (2 * len(rows) - 2 + n % 2) ** 2  # last is 4^(r//2) x^[r]
+        rows.append(tuple(4 * a - r2 * b for a, b in zip((0, *last), (*last, 0))))
     return rows[n // 2]
 
 
@@ -53,6 +50,6 @@ def central_t(n: int, k: int) -> Fraction:
         raise ValueError("n must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > n:
+    if k > n or (n - k) % 2:
         return Fraction(0)
-    return Fraction(_central_poly(n)[k], 4 ** (n // 2))
+    return Fraction(_central_poly(n)[k // 2], 4 ** (n // 2))

@@ -56,11 +56,11 @@ def f_even(m: int) -> Fraction:
     """f_{2m} = (-1)^m / (2 (2m)!) * D^(2m)_{2m}, an exact rational, where
     D^(2m)_{2m} = 4^m B^(2m)_{2m}(m) = 4^m int_m^{m+1} (t-1)(t-2)...(t-2m) dt.
     The product is x^[2m+1] / x at x = t - m - 1/2; over |x| <= 1/2 the row
-    4^m x^[2m+1] integrates to sum_{n=0}^{m} row[2n+1] / ((2n+1) 4^n)."""
+    4^m x^[2m+1] integrates to sum_{n=0}^{m} row[n] / ((2n+1) 4^n)."""
     if m < 0:
         raise ValueError("m must be >= 0")
     row = _central_poly(2 * m + 1)
-    total = sum(Fraction(row[2 * n + 1], (2 * n + 1) << 2 * n) for n in range(m + 1))
+    total = sum(Fraction(c, (2 * n + 1) << 2 * n) for n, c in enumerate(row))
     return Fraction((-1) ** m, 2 * factorial(2 * m)) * total
 
 
@@ -72,14 +72,13 @@ def _pi_f_odd(m: int) -> tuple[int, tuple[int, ...]]:
     The Norlund numbers D^(2m+1)_{2m-2n} are read off the central factorial
     row x^[2m+1]: the coefficient of zeta(2n+1)/pi^2n (of log 2 for n = 0) is
     (-1)^{m+n} 4^{m-n} (2n)! t(2m+1, 2n+1) / (2m)!, times 1 - 4^-n for n >= 1.
-    With the integer row 4^m x^[2m+1] its numerator is
-    (-1)^{m+n} 16^{m-n} (2n)! row[2n+1], times 4^n - 1 for n >= 1.
+    With the integer row 4^m x^[2m+1], row[n] = 4^m t(2m+1, 2n+1), its
+    numerator is (-1)^{m+n} 16^{m-n} (2n)! row[n], times 4^n - 1 for n >= 1.
     """
-    row = _central_poly(2 * m + 1)
     fact, out = 1, []  # a running (2n)!; 16^(m-n) and 4^n are shifts
-    for n in range(m + 1):
+    for n, t in enumerate(_central_poly(2 * m + 1)):
         fact *= (2 * n - 1) * 2 * n if n else 1
-        c = (-1) ** (m + n) * fact * row[2 * n + 1] << 4 * (m - n)
+        c = (-1) ** (m + n) * fact * t << 4 * (m - n)
         out.append(c * ((1 << 2 * n) - 1) if n else c)
     return fact << 4 * m, tuple(out)
 

@@ -7,15 +7,15 @@ The log-determinant of P_2k on the odd d-sphere is, for 2k <= d,
                * sinh(x/2) sinh(kx) / cosh^{d+1}(x/2) dx,
 
 and each conformal-Laplacian factor det(B^2 - alpha_j^2), alpha_j = j+1/2,
-has an analogous integral.  Integrands are evaluated in exponentially
-scaled form (a decaying exponential times a bounded rational function of
-e^{-x}), so nothing overflows for x up to 1e4; the semi-infinite domain is
-truncated where a closed-form geometric tail bound drops below tolerance.
-The d-1 integrals of one sphere differ only in the sinh frequency, the
-cosh power and the 2^s scale, so they are integrated together: one
-adaptive Gauss-Kronrod pass (QUADPACK's 21-point rule, vectorised over the
-abscissae and the integrals) on panels they share.  The scale 2^{d-1} must
-be a finite double, which limits d to D_MAX_FLOAT64.
+integrates (-1)^j times the main integrand of S^{d-1} at k = alpha_j.  The
+integrand is evaluated in exponentially scaled form (a decaying exponential
+times a bounded rational function of e^{-x}), so nothing overflows for x up
+to 1e4; the semi-infinite domain is truncated where a closed-form geometric
+tail bound drops below tolerance.  The d-1 integrals of one sphere are
+integrated together: one adaptive Gauss-Kronrod pass (QUADPACK's 21-point
+rule, vectorised over the abscissae and the integrals) on panels they
+share.  The scale 2^{d-1} must be a finite double, which limits d to
+D_MAX_FLOAT64.
 """
 
 from __future__ import annotations
@@ -112,44 +112,36 @@ class QuadResult:
 def integrand_main(x, d: int, k):
     """Integrand pi/(x^2+pi^2) sinh(x/2) sinh(kx) / cosh^{d+1}(x/2).
 
-    Written as 2^{d-1} e^{(k-d/2)x} (1-e^{-x})(1-e^{-2kx}) / (1+e^{-x})^{d+1}
-    times the Lorentzian factor; accepts scalars or arrays, for x and for k.
+    Written as the Lorentzian factor times 2^{d-1} e^{(k-d/2)x}
+    (1-e^{-x})(1-e^{-2kx}) / (1+e^{-x})^{d+1}, as a float array (a float x
+    gives a float); k may be an array.  Raising 1+e^{-x} to -(d+1) rather
+    than dividing by its power, which reaches 2^1024 at d = 1023, keeps x
+    near 0 from overflowing.
     """
-    return _scaled_integrand(x, k, d + 1)
+    x = np.asarray(x, dtype=float)
+    t = np.exp(-x)
+    grow = np.exp((k - d / 2) * x)
+    num = (-np.expm1(-x)) * (-np.expm1(-2 * k * x))
+    return (math.pi / (x * x + _PI2)) * 2.0 ** (d - 1) * grow * num * (1.0 + t) ** -(d + 1)
 
 
 def integrand_factor(x, d: int, j):
     """Integrand (-1)^j pi/(x^2+pi^2) sinh(x/2) sinh(a_j x) / cosh^d(x/2),
-    a_j = j + 1/2, in exponentially scaled form."""
-    return (-1) ** j * _scaled_integrand(x, j + 0.5, d)
-
-
-def _scaled_integrand(x, freq, power: int):
-    """pi/(x^2+pi^2) sinh(x/2) sinh(freq x) / cosh^power(x/2), written as the
-    Lorentzian factor times 2^{power-2} e^{gx} (1-e^{-x})(1-e^{-2 freq x}) /
-    (1+e^{-x})^power, g = freq + 1/2 - power/2, as a float array (a float
-    x gives a float).  Raising 1+e^{-x} to -power rather than dividing by
-    its power, which reaches 2^1024 at d = 1023, keeps x near 0 from
-    overflowing.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.exp(-x)
-    grow = np.exp((freq + 0.5 - power / 2) * x)
-    num = (-np.expm1(-x)) * (-np.expm1(-2 * freq * x))
-    return (math.pi / (x * x + _PI2)) * 2.0 ** (power - 2) * grow * num * (1.0 + t) ** -power
+    a_j = j + 1/2: the main integrand one dimension down, at k = a_j."""
+    return (-1) ** j * integrand_main(x, d - 1, j + 0.5)
 
 
 def _components(x, d: int, comps: np.ndarray):
     """Integrand values of the sphere's components ``comps`` at the abscissae
     x, shape (len(comps), *x.shape): component c < K is the main integral
-    k = c + 1, component K + j the factor integral j."""
+    k = c + 1, component K + j the factor integral j without its (-1)^j."""
     half = (d - 1) // 2
     main, factor = comps[comps < half], comps[comps >= half] - half
     parts = []
     if main.size:
         parts.append(integrand_main(x, d, main[:, None, None] + 1))
     if factor.size:
-        parts.append(integrand_factor(x, d, factor[:, None, None]))
+        parts.append(integrand_main(x, d - 1, factor[:, None, None] + 0.5))
     return np.concatenate(parts)
 
 
@@ -201,8 +193,8 @@ def _sphere(d: int, cfg: QuadratureConfig) -> tuple[QuadResult, ...]:
     # factor j converges exactly where P_2k does with k = j + 1
     rate = d / 2 - np.tile(k, 2)
     scale_exp = np.repeat([d - 1, d - 2], half)
-    sign = np.concatenate([(-1.0) ** ((d - 1) // 2 + k),
-                           np.full(half, (-1.0) ** ((d + 1) // 2))])
+    # factor j = k - 1 has the sign (-1)^((d+1)/2) (-1)^j of main k
+    sign = np.tile((-1.0) ** ((d - 1) // 2 + k), 2)
     # X with integral_X^inf 2^s/pi e^{-rate x} dx < abs_tol/10 for every
     # component, in logs: 2^s / abs_tol overflows a double from d = 983
     upper = max(40.0, float(np.max(

@@ -38,11 +38,14 @@ def test_central_t_against_expansion_oracle():
 
 
 def test_integer_rows_are_scaled_expansions():
-    # the memoized rows are 4^(n//2) x^[n] in integers, for both parities
+    # the memoized rows are 4^(n//2) x^[n] in integers, for both parities,
+    # holding the coefficients of x^(n%2), x^(n%2+2), ..., x^n; every other
+    # coefficient of x^[n] is 0
     for n in range(1, 31):
-        row = _central_poly(n)
+        row, oracle = _central_poly(n), expand_central_poly(n)
         assert all(type(c) is int for c in row), n
-        assert list(row) == [4 ** (n // 2) * c for c in expand_central_poly(n)], n
+        assert list(row) == [4 ** (n // 2) * c for c in oracle[n % 2::2]], n
+        assert not any(oracle[1 - n % 2::2]), n
 
 
 def test_central_t_vanishing_pattern():

@@ -92,12 +92,12 @@ def test_f_odd_values():
 
 def test_pi_f_odd_running_products_match_per_entry_formula():
     # the running (2n)!, 16^(m-n) and 4^n give what the per-entry formula
-    # (-1)^(m+n) 16^(m-n) (2n)! row[2n+1] (4^n - 1 for n >= 1) gives
+    # (-1)^(m+n) 16^(m-n) (2n)! row[n] (4^n - 1 for n >= 1) gives, row[n]
+    # the coefficient of x^(2n+1) in 4^m x^[2m+1]
     for m in range(61):
-        row = _central_poly(2 * m + 1)
         out = []
-        for n in range(m + 1):
-            c = (-1) ** (m + n) * 16 ** (m - n) * factorial(2 * n) * row[2 * n + 1]
+        for n, t in enumerate(_central_poly(2 * m + 1)):
+            c = (-1) ** (m + n) * 16 ** (m - n) * factorial(2 * n) * t
             out.append(c * (4**n - 1) if n else c)
         assert _pi_f_odd(m) == (factorial(2 * m) * 16**m, tuple(out)), m
 
@@ -159,6 +159,10 @@ def test_logdet_validation():
         logdet_gjms(5, 3)
     with pytest.raises(ValueError):
         logdet_gjms(5, 0)
+    with pytest.raises(ValueError):
+        f_odd(-1)
+    with pytest.raises(ValueError):
+        f_even(-1)
 
 
 def test_logdet_atoms_have_expected_pi_powers():

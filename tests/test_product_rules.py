@@ -75,6 +75,8 @@ def test_product_rule_validation():
         product_rule(5, 3)
     with pytest.raises(ValueError):
         product_rule(5, 0)
+    with pytest.raises(ValueError):
+        rule_exponents(0)
 
 
 def test_rendering():

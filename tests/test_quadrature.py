@@ -85,6 +85,13 @@ def test_integrand_matches_naive_formula_at_moderate_x():
             scaled = float(integrand_main(x, d, k))
             naive = integrand_naive(x, d, k)
             assert abs(scaled - naive) <= 1e-13 * max(abs(naive), 1e-300), (d, k, x)
+    # the factor integrand against its own formula, not through integrand_main
+    for d, j in ((3, 0), (7, 2), (13, 5), (13, 4)):
+        for x in (1e-6, 0.01, 0.5, 1.0, 5.0, 30.0):
+            scaled = float(integrand_factor(x, d, j))
+            naive = ((-1) ** j * math.pi / (x * x + math.pi**2) * math.sinh(x / 2)
+                     * math.sinh((j + 0.5) * x) / math.cosh(x / 2) ** d)
+            assert abs(scaled - naive) <= 1e-13 * max(abs(naive), 1e-300), (d, j, x)
 
 
 def test_integrand_vanishes_quadratically_at_origin():

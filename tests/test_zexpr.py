@@ -56,6 +56,9 @@ def test_arithmetic():
     assert dense(shifted) == ZetaExpr(2, 8, (0, 2, -3))
     with pytest.raises(ValueError):
         a + ZetaExpr.log2(1, 2)
+    # a non-ZetaExpr operand is NotImplemented, which Python turns into TypeError
+    with pytest.raises(TypeError):
+        a + 1
 
 
 def test_canonical_term_order():
