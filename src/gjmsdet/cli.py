@@ -336,7 +336,17 @@ def main(argv: list[str] | None = None) -> int:
     global _PARSER
     if _PARSER is None:  # built on first use, then shared by every call
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command parses with its own parser, taken from the top-level
+    # parser's subparsers action: the top-level parse would only hand it the
+    # same arguments after a second pass of its own
+    sub = _PARSER._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    if sub is None:  # -h, no command or an unknown one
+        args = _PARSER.parse_args(argv)
+    else:
+        args, extra = sub.parse_known_args(argv[1:])
+        if extra:  # reported by the top-level parser, as its parse_args does
+            _PARSER.error("unrecognized arguments: %s" % " ".join(extra))
     # exact coefficients pass Python's int-to-str digit limit (from d = 1667
     # at k = 1); lift it for the output only (argv was parsed under it)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -544,3 +544,61 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
     assert shared[1][1].splitlines()[1] == "  ~ 0.1046421441"  # default 10 digits
     assert "t(5,5)=1" in shared[5][1] and "f_" not in shared[5][1]
+
+
+def run_to_exit(capsys, call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``, through ``SystemExit``."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["logdet", "-h"],
+    "logdet --d x --k 2".split(),
+    "logdet --k 2".split(),
+    "logdet --d 5 --k 2 --bogus".split(),
+    "logdet --bogus --d 5 --k 2".split(),
+    "logdet --d 5 --k 2 extra1 extra2".split(),
+    "sweep --fixed-d 5 --fixed-k 1".split(),
+    "tables --d-norlund 3".split(),
+    "rule --k 1 --format json".split(),
+])
+def test_subcommand_dispatch_prints_what_the_full_parser_prints(capsys, argv):
+    # main parses a named command with that command's parser alone; every
+    # usage and error line must still be the full parser's
+    full = run_to_exit(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+    assert run_to_exit(capsys, main, argv) == full
+    assert full[0] in (0, 2) and (full[1] or full[2])
+
+
+def test_subcommand_dispatch_parses_valid_argvs_as_the_full_parser(capsys):
+    argv = "logdet --form json --d=5 --k=2".split()  # abbreviated flag, '=' values
+    args = cli.build_parser().parse_args(argv)
+    full = run_to_exit(capsys, args.func, args)
+    assert run_to_exit(capsys, main, argv) == full
+    assert run_to_exit(capsys, main, "logdet --d 5 --k 2 --format json".split()) == full
+    assert full[0] == 0 and json.loads(full[1])["d"] == 5
+
+
+def test_parse_error_leaves_the_reused_parser_clean(capsys):
+    query = ["logdet", "--d", "7", "--k", "2", "--digits", "25"]
+    first = run_to_exit(capsys, main, query)
+    parser = cli._PARSER
+    code, out, err = run_to_exit(capsys, main, ["logdet", "--d", "x", "--k", "2"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --d: invalid int value: 'x'\n")
+    assert cli._PARSER is parser
+    assert run_to_exit(capsys, main, query) == first
+    assert cli._PARSER is parser
+    assert first[0] == 0 and first[1].startswith("log det P_4(7) = ")
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["gjmsdet", "logdet", "--d", "5", "--k", "2"])
+    from_sys_argv = run_to_exit(capsys, lambda _: main(), None)
+    assert from_sys_argv == run(capsys, "logdet", "--d", "5", "--k", "2")
+    assert from_sys_argv[0] == 0 and from_sys_argv[1].startswith("log det P_4(5) = ")
