@@ -64,23 +64,30 @@ def f_even(m: int) -> Fraction:
     return Fraction((-1) ** m, 2 * factorial(2 * m)) * total
 
 
-@lru_cache(maxsize=None)
-def _pi_f_odd(m: int) -> tuple[int, tuple[int, ...]]:
-    """pi f_{2m+1} over (log 2, zeta(3)/pi^2, ..., zeta(2m+1)/pi^2m) as the
-    common denominator (2m)! 16^m and the integer numerators over it.
+def _pi_f_odd_sum(top: int, weights: list[int]) -> tuple[int, list[int]]:
+    """sum_i weights[i] pi f_{2m+1}, m = top - i, over (log 2, zeta(3)/pi^2,
+    ..., zeta(2top+1)/pi^2top) as the common denominator (2top)! 16^top and
+    the integer numerators over it.
 
-    The Norlund numbers D^(2m+1)_{2m-2n} are read off the central factorial
-    row x^[2m+1]: the coefficient of zeta(2n+1)/pi^2n (of log 2 for n = 0) is
-    (-1)^{m+n} 4^{m-n} (2n)! t(2m+1, 2n+1) / (2m)!, times 1 - 4^-n for n >= 1.
-    With the integer row 4^m x^[2m+1], row[n] = 4^m t(2m+1, 2n+1), its
-    numerator is (-1)^{m+n} 16^{m-n} (2n)! row[n], times 4^n - 1 for n >= 1.
+    In pi f_{2m+1} the coefficient of zeta(2n+1)/pi^2n (of log 2 for n = 0)
+    is (-1)^{m+n} 4^{m-n} (2n)! t(2m+1, 2n+1) / (2m)!, times 1 - 4^-n for
+    n >= 1.  Only (-1)^m (2m)! depends on m: the rows row_m[n] = 4^m
+    t(2m+1, 2n+1) are summed with the integer weights (-1)^m (2top)!/(2m)!,
+    then slot n is scaled by (-1)^n (2n)! 16^(top-n), times 4^n - 1 for n >= 1.
     """
-    fact, out = 1, []  # a running (2n)!; 16^(m-n) and 4^n are shifts
-    for n, t in enumerate(_central_poly(2 * m + 1)):
-        fact *= (2 * n - 1) * 2 * n if n else 1
-        c = (-1) ** (m + n) * fact * t << 4 * (m - n)
-        out.append(c * ((1 << 2 * n) - 1) if n else c)
-    return fact << 4 * m, tuple(out)
+    acc = [0] * (top + 1)
+    c = (-1) ** top  # a running (-1)^m (2top)!/(2m)!
+    for m, w in zip(range(top, -1, -1), weights):
+        cw = c * w
+        for n, t in enumerate(_central_poly(2 * m + 1)):
+            acc[n] += cw * t
+        c *= -2 * m * (2 * m - 1)
+    fact = 1  # a running (-1)^n (2n)!; 16^(top-n) and 4^n are shifts
+    acc[0] <<= 4 * top
+    for n in range(1, top + 1):
+        fact *= (1 - 2 * n) * 2 * n
+        acc[n] = fact * ((1 << 2 * n) - 1) * acc[n] << 4 * (top - n)
+    return abs(fact) << 4 * top, acc
 
 
 @lru_cache(maxsize=None)
@@ -94,8 +101,8 @@ def f_odd(m: int) -> ZetaExpr:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    den, row = _pi_f_odd(m)
-    return ZetaExpr(-1, den, (0, *row))
+    den, nums = _pi_f_odd_sum(m, [1])
+    return ZetaExpr(-1, den, (0, *nums))
 
 
 def f_expr(m: int) -> ZetaExpr:
@@ -113,28 +120,19 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
     """Exact log det P_2k on the round unit d-sphere, d odd, 2k <= d.
 
     Every f in the formula has odd index d + 2j - 2k = 2(m0 + j) + 1, so the
-    sum is a weighted sum of the dense vectors pi f_{2m+1}, m0 <= m <= m0 + k.
-    It is summed in integers over the top vector's denominator, which every
-    lower one divides.
+    sum is one _pi_f_odd_sum of the vectors pi f_{2m+1}, m0 <= m <= m0 + k.
     """
     validate_d_k(d, k)
-    m0 = (d - 1) // 2 - k
-    # 4^k times the weights C(2k-1-j, j) (-1/4)^j of the f-differences
+    top = (d - 1) // 2
+    # 4^k times the f-difference weights C(2k-1-j, j) (-1/4)^j, from m = top down
     weights = [0] * (k + 1)
     for j in range(k):
         c = comb(2 * k - 1 - j, j) * (-1) ** j * 4 ** (k - j)
-        weights[j] += c
-        weights[j + 1] -= c
-    top_den, top = _pi_f_odd(m0 + k)
-    acc = [0] * len(top)
-    for j, w in enumerate(weights):
-        den, row = _pi_f_odd(m0 + j)
-        w *= top_den // den
-        for n, c in enumerate(row):
-            acc[n] += w * c
+        weights[k - j] += c
+        weights[k - j - 1] -= c
+    den, nums = _pi_f_odd_sum(top, weights)
     # the prefactor's sign and 2^(d-2k), the weights' 4^k
-    den = (-1) ** ((d - 1) // 2 + k) * top_den << d
-    return ZetaExpr(0, den, (0, *acc))
+    return ZetaExpr(0, (-1) ** (top + k) * den << d, (0, *nums))
 
 
 # -- numeric evaluation ---------------------------------------------------

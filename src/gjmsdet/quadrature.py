@@ -196,11 +196,10 @@ def _sphere(d: int, cfg: QuadratureConfig) -> tuple[QuadResult, ...]:
     # factor j = k - 1 has the sign (-1)^((d+1)/2) (-1)^j of main k
     sign = np.tile((-1.0) ** ((d - 1) // 2 + k), 2)
     # X with integral_X^inf 2^s/pi e^{-rate x} dx < abs_tol/10 for every
-    # component, in logs: 2^s / abs_tol overflows a double from d = 983
-    upper = max(40.0, float(np.max(
-        (math.log(10 / (math.pi * cfg.abs_tol)) + scale_exp * math.log(2) - np.log(rate))
-        / rate
-    )))
+    # component, in logs (2^s / abs_tol overflows a double from d = 983); pi
+    # abs_tol is clamped to the largest double, past which every X is below 40
+    log_tail = math.log(10 / min(math.pi * cfg.abs_tol, np.finfo(float).max))
+    upper = max(40.0, float(np.max((log_tail + scale_exp * math.log(2) - np.log(rate)) / rate)))
     halfw = np.full(_START_PANELS, upper / (2 * _START_PANELS))
     centre = (2 * np.arange(_START_PANELS) + 1) * halfw
     active = np.arange(2 * half)

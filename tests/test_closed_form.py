@@ -1,7 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import mpmath as mp
 import pytest
@@ -13,7 +14,7 @@ from gjmsdet.central_factorials import _central_poly
 from gjmsdet.closed_form import (
     PrecisionContext,
     _basis,
-    _pi_f_odd,
+    _pi_f_odd_sum,
     evaluate,
     f_even,
     f_expr,
@@ -90,16 +91,69 @@ def test_f_odd_values():
     }
 
 
+@lru_cache(maxsize=None)
+def pi_f_odd_per_entry(m):
+    """pi f_{2m+1} as the denominator (2m)! 16^m and the numerators
+    (-1)^(m+n) 16^(m-n) (2n)! row[n] (times 4^n - 1 for n >= 1), row[n] the
+    coefficient of x^(2n+1) in 4^m x^[2m+1]: each vector scaled on its own."""
+    out = []
+    for n, t in enumerate(_central_poly(2 * m + 1)):
+        c = (-1) ** (m + n) * 16 ** (m - n) * factorial(2 * n) * t
+        out.append(c * (4**n - 1) if n else c)
+    return factorial(2 * m) * 16**m, out
+
+
+def logdet_scaled_vectors(d, k):
+    """log det P_2k(d) as the weighted sum of the vectors pi f_{2m+1}, each
+    brought to the top vector's denominator by the exact quotient."""
+    m0 = (d - 1) // 2 - k
+    weights = [0] * (k + 1)
+    for j in range(k):
+        c = comb(2 * k - 1 - j, j) * (-1) ** j * 4 ** (k - j)
+        weights[j] += c
+        weights[j + 1] -= c
+    top_den, top = pi_f_odd_per_entry(m0 + k)
+    acc = [0] * len(top)
+    for j, w in enumerate(weights):
+        den, row = pi_f_odd_per_entry(m0 + j)
+        w *= top_den // den
+        for n, v in enumerate(row):
+            acc[n] += w * v
+    return ZetaExpr(0, (-1) ** ((d - 1) // 2 + k) * top_den << d, (0, *acc))
+
+
 def test_pi_f_odd_running_products_match_per_entry_formula():
-    # the running (2n)!, 16^(m-n) and 4^n give what the per-entry formula
-    # (-1)^(m+n) 16^(m-n) (2n)! row[n] (4^n - 1 for n >= 1) gives, row[n]
-    # the coefficient of x^(2n+1) in 4^m x^[2m+1]
+    # one weight: the running (2top)!/(2m)!, (2n)!, 16^(top-n) and 4^n give
+    # what the per-entry formula gives
     for m in range(61):
-        out = []
-        for n, t in enumerate(_central_poly(2 * m + 1)):
-            c = (-1) ** (m + n) * 16 ** (m - n) * factorial(2 * n) * t
-            out.append(c * (4**n - 1) if n else c)
-        assert _pi_f_odd(m) == (factorial(2 * m) * 16**m, tuple(out)), m
+        assert _pi_f_odd_sum(m, [1]) == pi_f_odd_per_entry(m), m
+
+
+def test_logdet_matches_sum_of_scaled_vectors():
+    # rows summed first and scaled once equal the vectors scaled first and
+    # summed over the top denominator
+    pairs = [(d, k) for d in range(3, 62, 2) for k in range(1, (d - 1) // 2 + 1)]
+    rng = random.Random(18)
+    for _ in range(10):
+        d = rng.randrange(201, 602, 2)
+        pairs.append((d, rng.randrange(1, (d - 1) // 2 + 1)))
+    for d, k in pairs:
+        assert logdet_gjms(d, k) == logdet_scaled_vectors(d, k), (d, k)
+
+
+def test_logdet_three_term_recurrence_in_k():
+    # sinh((k+1)x) + sinh((k-1)x) = 2 sinh(kx) (2 cosh^2(x/2) - 1), and one
+    # cosh^2(x/2) lowers d by 2: L(d, k+1) = L(d-2, k) + 2 L(d, k) - L(d, k-1)
+    # with L(d, 0) = 0, on all 1,225 identities with d <= 101
+    zero = ZetaExpr(0, 1, ())
+    checked = 0
+    for d in range(5, 102, 2):
+        for k in range(1, (d - 1) // 2):
+            below = logdet_gjms(d, k - 1) if k > 1 else zero
+            terms = ((1, logdet_gjms(d - 2, k)), (2, logdet_gjms(d, k)), (-1, below))
+            assert logdet_gjms(d, k + 1) == ZetaExpr._weighted_sum(terms), (d, k)
+            checked += 1
+    assert checked == 1225
 
 
 pairs_d_le_81 = st.integers(1, 40).flatmap(

@@ -246,6 +246,11 @@ def test_divergence_and_validation_guards():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=1e-15)
+    # the largest tolerances, where pi abs_tol overflows a double, truncate at
+    # the floor X = 40 and stop after the first pass, as 1e300 does
+    huge = logdet_quadrature_result(3, 1, QuadratureConfig(abs_tol=1e308))
+    loose = logdet_quadrature_result(3, 1, QuadratureConfig(abs_tol=1e300))
+    assert (huge.value, huge.neval) == (loose.value, loose.neval)
 
 
 def test_explicit_truncation_point_respected():
