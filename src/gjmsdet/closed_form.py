@@ -26,7 +26,7 @@ from operator import mul
 import mpmath as mp
 
 from .central_factorials import _central_poly
-from .errors import validate_d_k
+from .errors import _require_int, validate_d_k
 from .norlund import d_norlund  # noqa: F401  (a hook site the benchmark tracer patches)
 from .zexpr import LOG2, ONE, ZetaExpr, _term
 
@@ -48,6 +48,7 @@ class PrecisionContext:
     decimal_digits: int = 50
 
     def __post_init__(self) -> None:
+        _require_int("decimal_digits", self.decimal_digits)
         if self.decimal_digits < 15:
             raise ValueError("decimal_digits must be >= 15")
 
@@ -114,8 +115,10 @@ def f_expr(m: int) -> ZetaExpr:
 
 
 # crosscheck reads each k >= 2 record once and each k = 1 record again at most
-# d + 1 records later: 1024 = quadrature.D_MAX_FLOAT64 + 1 keeps every reuse
-@lru_cache(maxsize=1024)
+# d + 1 records later: 1024 = quadrature.D_MAX_FLOAT64 + 1 keeps every reuse;
+# typed, so a float d or k misses the cache and is rejected, not served an
+# int's record
+@lru_cache(maxsize=1024, typed=True)
 def logdet_gjms(d: int, k: int) -> ZetaExpr:
     """Exact log det P_2k on the round unit d-sphere, d odd, 2k <= d.
 

@@ -11,11 +11,12 @@ integrates (-1)^j times the main integrand of S^{d-1} at k = alpha_j.  The
 integrand is evaluated in exponentially scaled form (a decaying exponential
 times a bounded rational function of e^{-x}), so nothing overflows for x up
 to 1e4; the semi-infinite domain is truncated where a closed-form geometric
-tail bound drops below tolerance.  The d-1 integrals of one sphere are
-integrated together: one adaptive Gauss-Kronrod pass (QUADPACK's 21-point
-rule, vectorised over the abscissae and the integrals) on panels they
-share.  The scale 2^{d-1} must be a finite double, which limits d to
-D_MAX_FLOAT64.
+tail bound drops below tolerance.  The d-1 integrals of one sphere form
+one table of (dimension, k) pairs, d for the mains and d-1 for the factors,
+and are integrated together: one adaptive Gauss-Kronrod pass (QUADPACK's
+21-point rule, one main-integrand call vectorised over the abscissae and
+the table) on panels they share.  The scale 2^{d-1} must be a finite
+double, which limits d to D_MAX_FLOAT64.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import (
     DivergentDeterminantError,
     Float64RangeError,
+    _require_int,
     validate_d,
     validate_d_k,
 )
@@ -114,9 +116,9 @@ def integrand_main(x, d: int, k):
 
     Written as the Lorentzian factor times 2^{d-1} e^{(k-d/2)x}
     (1-e^{-x})(1-e^{-2kx}) / (1+e^{-x})^{d+1}, as a float array (a float x
-    gives a float); k may be an array.  Raising 1+e^{-x} to -(d+1) rather
-    than dividing by its power, which reaches 2^1024 at d = 1023, keeps x
-    near 0 from overflowing.
+    gives a float); d and k may be arrays that broadcast against x.
+    Raising 1+e^{-x} to -(d+1) rather than dividing by its power, which
+    reaches 2^1024 at d = 1023, keeps x near 0 from overflowing.
     """
     x = np.asarray(x, dtype=float)
     t = np.exp(-x)
@@ -131,20 +133,6 @@ def integrand_factor(x, d: int, j):
     return (-1) ** j * integrand_main(x, d - 1, j + 0.5)
 
 
-def _components(x, d: int, comps: np.ndarray):
-    """Integrand values of the sphere's components ``comps`` at the abscissae
-    x, shape (len(comps), *x.shape): component c < K is the main integral
-    k = c + 1, component K + j the factor integral j without its (-1)^j."""
-    half = (d - 1) // 2
-    main, factor = comps[comps < half], comps[comps >= half] - half
-    parts = []
-    if main.size:
-        parts.append(integrand_main(x, d, main[:, None, None] + 1))
-    if factor.size:
-        parts.append(integrand_main(x, d - 1, factor[:, None, None] + 0.5))
-    return np.concatenate(parts)
-
-
 def _gk21(f, halfw):
     """QUADPACK's qk21 on each panel, from values f of shape (C, P, 21) at
     the panels' nodes: the integrals and their error estimates, (C, P) each."""
@@ -157,14 +145,14 @@ def _gk21(f, halfw):
     return resk * halfw, np.maximum(err, 50 * _EPS * resabs)  # round-off floor
 
 
-def _evaluate(centre, halfw, d: int, comps: np.ndarray):
-    """qk21 of the components ``comps`` on the panels (centre, halfw): all
-    panels in one integrand call unless that holds more than _CHUNK_VALUES
-    values, which bounds the memory whatever the panel count."""
-    step = max(1, _CHUNK_VALUES // (comps.size * _NODES.size))
+def _evaluate(centre, halfw, dims: np.ndarray, ks: np.ndarray):
+    """qk21 of the main integrands at (dims, ks) on the panels (centre,
+    halfw): all panels in one integrand call unless that holds more than
+    _CHUNK_VALUES values, which bounds the memory whatever the panel count."""
+    step = max(1, _CHUNK_VALUES // (dims.size * _NODES.size))
     parts = [
-        _gk21(_components(centre[i:i + step, None] + halfw[i:i + step, None] * _NODES,
-                          d, comps), halfw[i:i + step])
+        _gk21(integrand_main(centre[i:i + step, None] + halfw[i:i + step, None] * _NODES,
+                             dims[:, None, None], ks[:, None, None]), halfw[i:i + step])
         for i in range(0, centre.size, step)
     ]
     return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
@@ -188,11 +176,12 @@ def _sphere(d: int, cfg: QuadratureConfig) -> tuple[QuadResult, ...]:
         raise Float64RangeError(
             f"quadrature works in float64 and needs d <= {D_MAX_FLOAT64}, got d={d}"
         )
-    half = (d - 1) // 2
-    k = np.arange(1, half + 1)
-    # factor j converges exactly where P_2k does with k = j + 1
-    rate = d / 2 - np.tile(k, 2)
-    scale_exp = np.repeat([d - 1, d - 2], half)
+    k = np.arange(1, (d + 1) // 2)
+    # one column per integral, each the main integrand at (dims, ks): main k
+    # on S^d, then factor j = k - 1 on S^(d-1) at k - 1/2
+    dims = np.repeat([d, d - 1], k.size)
+    ks = np.concatenate([k, k - 0.5])
+    rate, scale_exp = dims / 2 - ks, dims - 1
     # factor j = k - 1 has the sign (-1)^((d+1)/2) (-1)^j of main k
     sign = np.tile((-1.0) ** ((d - 1) // 2 + k), 2)
     # X with integral_X^inf 2^s/pi e^{-rate x} dx < abs_tol/10 for every
@@ -202,10 +191,10 @@ def _sphere(d: int, cfg: QuadratureConfig) -> tuple[QuadResult, ...]:
     upper = max(40.0, float(np.max((log_tail + scale_exp * math.log(2) - np.log(rate)) / rate)))
     halfw = np.full(_START_PANELS, upper / (2 * _START_PANELS))
     centre = (2 * np.arange(_START_PANELS) + 1) * halfw
-    active = np.arange(2 * half)
-    vals, errs = _evaluate(centre, halfw, d, active)
+    active = np.arange(dims.size)
+    vals, errs = _evaluate(centre, halfw, dims, ks)
     neval = _START_PANELS * _NODES.size
-    value, error = np.empty(2 * half), np.empty(2 * half)
+    value, error = np.empty(dims.size), np.empty(dims.size)
     while True:
         value[active], error[active] = vals.sum(axis=1), errs.sum(axis=1)
         tol = np.maximum(cfg.abs_tol / 4, 1e-13 * np.abs(value[active]))
@@ -218,7 +207,7 @@ def _sphere(d: int, cfg: QuadratureConfig) -> tuple[QuadResult, ...]:
         h = halfw[split] / 2
         new_centre = np.concatenate([centre[split] - h, centre[split] + h])
         new_halfw = np.concatenate([h, h])
-        new_vals, new_errs = _evaluate(new_centre, new_halfw, d, active)
+        new_vals, new_errs = _evaluate(new_centre, new_halfw, dims[active], ks[active])
         neval += new_centre.size * _NODES.size
         centre = np.concatenate([centre[~split], new_centre])
         halfw = np.concatenate([halfw[~split], new_halfw])
@@ -250,6 +239,7 @@ def logdet_factor_quadrature(
 ) -> float:
     """Numeric log det(B^2 - alpha_j^2) on the d-sphere, alpha_j = j + 1/2."""
     validate_d(d)
+    _require_int("j", j)
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     if 2 * (j + 1) > d:

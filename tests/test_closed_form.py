@@ -213,6 +213,19 @@ def test_logdet_validation():
         logdet_gjms(5, 3)
     with pytest.raises(ValueError):
         logdet_gjms(5, 0)
+    # d and k must be ints, bools excluded; the cache is typed, so a float
+    # is rejected alike before and after the int pair is cached
+    logdet_gjms.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InvalidDimensionError, match="d must be an integer, got 5.0"):
+            logdet_gjms(5.0, 2)
+        with pytest.raises(ValueError, match="k must be an integer, got 2.0"):
+            logdet_gjms(5, 2.0)
+        logdet_gjms(5, 2)
+    with pytest.raises(InvalidDimensionError, match="d must be an integer, got True"):
+        logdet_gjms(True, 1)
+    with pytest.raises(ValueError, match="k must be an integer, got True"):
+        logdet_gjms(3, True)
     with pytest.raises(ValueError):
         f_odd(-1)
     with pytest.raises(ValueError):
@@ -262,6 +275,9 @@ def test_zeta_odd_validation():
 def test_precision_context_floor():
     with pytest.raises(ValueError):
         PrecisionContext(decimal_digits=10)
+    for digits in (20.5, 30.0, True):
+        with pytest.raises(ValueError, match="decimal_digits must be an integer"):
+            PrecisionContext(decimal_digits=digits)
 
 
 def test_evaluate_spot_values():

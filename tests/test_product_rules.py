@@ -75,6 +75,10 @@ def test_product_rule_validation():
         product_rule(5, 3)
     with pytest.raises(ValueError):
         product_rule(5, 0)
+    with pytest.raises(InvalidDimensionError, match="d must be an integer, got 5.0"):
+        product_rule(5.0, 2)
+    with pytest.raises(ValueError, match="k must be an integer, got 2.0"):
+        product_rule(5, 2.0)
     with pytest.raises(ValueError):
         rule_exponents(0)
 

@@ -156,6 +156,25 @@ def test_float_input_matches_the_array_path():
                 f.__name__, d, order, x, s, a)
 
 
+def test_dimension_table_rows_match_one_dimension_calls():
+    # _sphere calls integrand_main once on a (dimension, k) table: the mains
+    # on S^d at k = 1..K, then the factors on S^(d-1) at k - 1/2; each row
+    # must be the one-dimension call, within the bound of
+    # test_float_input_matches_the_array_path
+    xs = np.concatenate([np.geomspace(1e-300, 1e4, 601), np.linspace(1e-3, 60.0, 601)])
+    for d in (3, 41, 1023):
+        k = np.arange(1, (d - 1) // 2 + 1)
+        dims = np.repeat([d, d - 1], k.size)
+        ks = np.concatenate([k, k - 0.5])
+        table = integrand_main(xs, dims[:, None], ks[:, None])
+        assert table.shape == (dims.size, xs.size)
+        for d_i, k_i, row in zip(dims.tolist(), ks.tolist(), table):
+            one = integrand_main(xs, d_i, k_i)
+            tol = 1e-15 + (d_i + 1) * 2.0**-52
+            assert np.all(np.abs(row - one) <= tol * np.maximum(np.abs(row), np.abs(one))), (
+                d, d_i, k_i)
+
+
 def test_logdet_reference_values():
     assert abs(logdet_quadrature(3, 1) - 0.1276141094) < 2e-10
     assert abs(logdet_quadrature(7, 2) - (-0.008297)) < 5e-7
@@ -241,6 +260,16 @@ def test_divergence_and_validation_guards():
         logdet_factor_quadrature(5, -1)
     with pytest.raises(InvalidDimensionError):
         logdet_factor_quadrature(4, 0)
+    # d, k and j must be ints, bools excluded
+    with pytest.raises(InvalidDimensionError, match="d must be an integer, got 5.0"):
+        logdet_quadrature(5.0, 1)
+    with pytest.raises(ValueError, match="k must be an integer, got True"):
+        logdet_quadrature(5, True)
+    with pytest.raises(InvalidDimensionError, match="d must be an integer, got 5.0"):
+        logdet_factor_quadrature(5.0, 0)
+    for j in (1.0, False):
+        with pytest.raises(ValueError, match=f"j must be an integer, got {j}"):
+            logdet_factor_quadrature(5, j)
 
 
 def test_config_validation():
