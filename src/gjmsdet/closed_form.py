@@ -58,6 +58,7 @@ def f_even(m: int) -> Fraction:
     D^(2m)_{2m} = 4^m B^(2m)_{2m}(m) = 4^m int_m^{m+1} (t-1)(t-2)...(t-2m) dt.
     The product is x^[2m+1] / x at x = t - m - 1/2; over |x| <= 1/2 the row
     4^m x^[2m+1] integrates to sum_{n=0}^{m} row[n] / ((2n+1) 4^n)."""
+    _require_int("m", m)
     if m < 0:
         raise ValueError("m must be >= 0")
     row = _central_poly(2 * m + 1)
@@ -91,7 +92,9 @@ def _pi_f_odd_sum(top: int, weights: list[int]) -> tuple[int, list[int]]:
     return abs(fact) << 4 * top, acc
 
 
-@lru_cache(maxsize=None)
+# typed, so a bool or float index misses the cache and is rejected, not
+# served an int's record
+@lru_cache(maxsize=None, typed=True)
 def f_odd(m: int) -> ZetaExpr:
     """f_{2m+1} as an exact expression over {log 2, zeta(odd)}.
 
@@ -100,6 +103,7 @@ def f_odd(m: int) -> ZetaExpr:
 
     eta(1) = -log 2 and eta(s) = (2^{1-s} - 1) zeta(s) for s > 1.
     """
+    _require_int("m", m)
     if m < 0:
         raise ValueError("m must be >= 0")
     den, nums = _pi_f_odd_sum(m, [1])
@@ -108,16 +112,18 @@ def f_odd(m: int) -> ZetaExpr:
 
 def f_expr(m: int) -> ZetaExpr:
     """f_m for either parity, as a ZetaExpr (even m gives a pure constant)."""
+    _require_int("m", m)
     if m % 2 == 0:
         q = f_even(m // 2)
         return ZetaExpr(0, q.denominator, (q.numerator,))
     return f_odd((m - 1) // 2)
 
 
-# crosscheck reads each k >= 2 record once and each k = 1 record again at most
-# d + 1 records later: 1024 = quadrature.D_MAX_FLOAT64 + 1 keeps every reuse;
-# typed, so a float d or k misses the cache and is rejected, not served an
-# int's record
+# crosscheck reads each record once, and its product route reads the k = 1
+# record again in the same row; 1024 = quadrature.D_MAX_FLOAT64 + 1 also holds
+# every k = 1 record one logdet_via_product call reads, and all 465 pairs
+# d <= 61; typed, so a float d or k misses the cache and is rejected, not
+# served an int's record
 @lru_cache(maxsize=1024, typed=True)
 def logdet_gjms(d: int, k: int) -> ZetaExpr:
     """Exact log det P_2k on the round unit d-sphere, d odd, 2k <= d.
@@ -140,9 +146,10 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
 
 # -- numeric evaluation ---------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, as f_odd's
 def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
     """zeta(s) for odd s >= 3 with relative error <= 10^-decimal_digits."""
+    _require_int("s", s)
     if s < 3 or s % 2 == 0:
         raise ValueError("s must be an odd integer >= 3")
     with mp.workdps(ctx.decimal_digits + 10):

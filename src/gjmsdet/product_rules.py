@@ -3,7 +3,8 @@
 Expanding sinh(kx)/sinh(x/2) = U_{2k-1}(cosh(x/2)) in the determinant
 integral turns the order-2k determinant into a product of conformal
 Laplacian determinants over dimensions d, d-2, ..., d-2k+2, with binomial
-integer exponents.
+integer exponents.  :func:`logdet_via_product` sums one rule; a whole column
+of records follows from the k = 1 column by :func:`product_step`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "rule_exponents",
     "product_rule",
     "logdet_via_product",
+    "product_step",
 ]
 
 
@@ -73,3 +75,23 @@ def logdet_via_product(d: int, k: int) -> ZetaExpr:
     return ZetaExpr._weighted_sum(
         (exp, logdet_gjms(dim, 1)) for dim, exp in rule.factors
     )
+
+
+def product_step(d: int, below: list[ZetaExpr], column: list[ZetaExpr]) -> ZetaExpr:
+    """The product route's next record of column d, L(d, k+1) for k = len(column).
+
+    ``column`` holds L(d, 1..k) and ``below`` L(d-2, 1..) of the same route.
+    In the determinant integral sinh((k+1)x) + sinh((k-1)x) = 2 sinh(kx)
+    (2 cosh^2(x/2) - 1), and one cosh^2(x/2) lowers d by 2, so
+    L(d, k+1) = L(d-2, k) + 2 L(d, k) - L(d, k-1), with L(d, 0) = 0.  The
+    product rule is the solution seeded with the k = 1 column: each record
+    costs one sum of at most three records, not k.
+    """
+    k = len(column)
+    validate_d_k(d, k + 1)
+    if not k:
+        return logdet_gjms(d, 1)
+    terms = [(1, below[k - 1]), (2, column[k - 1])]
+    if k > 1:
+        terms.append((-1, column[k - 2]))
+    return ZetaExpr._weighted_sum(terms)

@@ -286,9 +286,9 @@ def test_crosscheck_evaluates_product_only_when_it_differs(capsys, monkeypatch):
     assert len(calls) == len(rows)  # the equal product reuses the closed form
 
     # 2^-64 log 2 is 2.2e-10 of |log det P_2(27)|: only the relative gate sees it
-    product = cli.logdet_via_product
+    step = cli.product_step
     bump = ZetaExpr.log2(Fraction(1, 2**64))
-    monkeypatch.setattr(cli, "logdet_via_product", lambda d, k: product(d, k) + bump)
+    monkeypatch.setattr(cli, "product_step", lambda d, below, column: step(d, below, column) + bump)
     calls.clear()
     code, bumped, _ = run(capsys, "crosscheck", "--d-max", "27")
     assert code == 1
@@ -299,12 +299,54 @@ def test_crosscheck_evaluates_product_only_when_it_differs(capsys, monkeypatch):
         assert row.split()[:4] == bumped_row.split()[:4]
 
 
-def test_crosscheck_fails_when_product_expression_differs(capsys, monkeypatch):
-    # 2^-64 log 2 is far below both numeric gates at d <= 11; only the exact
-    # comparison of the product route sees it
-    product = cli.logdet_via_product
+def test_crosscheck_builds_the_product_route_by_its_recurrence(capsys, monkeypatch):
+    # O(1) vector operations per row: never the binomial sum of k records,
+    # at most one weighted sum of at most three records
+    def refused(d, k):
+        raise AssertionError(f"logdet_via_product({d}, {k}) called")
+
+    for module in (cli, product_rules):
+        monkeypatch.setattr(module, "logdet_via_product", refused)
+    sizes = []
+    weighted_sum = ZetaExpr._weighted_sum
+
+    def counted(cls, pairs):
+        pairs = list(pairs)
+        sizes.append(len(pairs))
+        return weighted_sum(pairs)
+
+    monkeypatch.setattr(ZetaExpr, "_weighted_sum", classmethod(counted))
+    seeds = []  # the closed-form records the product route reads
+    closed = product_rules.logdet_gjms
+    monkeypatch.setattr(product_rules, "logdet_gjms", lambda d, k: seeds.append((d, k)) or closed(d, k))
+    code, out, _ = run(capsys, "crosscheck", "--d-max", "27")
+    rows = out.splitlines()[1:-1]
+    assert code == 0 and out.splitlines()[-1].startswith("OK:")
+    assert 0 < len(sizes) <= len(rows) and max(sizes) <= 3
+    assert seeds == [(d, 1) for d in range(3, 28, 2)]
+
+
+def test_crosscheck_chains_the_product_route_on_its_own_records(capsys, monkeypatch):
+    # a bump in the seed P_2(3) alone reaches the top row (d, (d-1)/2) of every
+    # column, whose product rule has a factor P_2(3), and no other row
+    step = cli.product_step
     bump = ZetaExpr.log2(Fraction(1, 2**64))
-    monkeypatch.setattr(cli, "logdet_via_product", lambda d, k: product(d, k) + bump)
+    monkeypatch.setattr(
+        cli, "product_step",
+        lambda d, below, column: step(d, below, column) + bump if d == 3 else step(d, below, column),
+    )
+    code, out, _ = run(capsys, "crosscheck", "--d-max", "11")
+    assert code == 1
+    assert out.splitlines()[-1].startswith("FAIL: product route differs from the closed form in 5 rows, ")
+
+
+def test_crosscheck_fails_when_product_expression_differs(capsys, monkeypatch):
+    # 2^-64 log 2 is far below both numeric gates at d <= 11, also where the
+    # recurrence has compounded it; only the exact comparison of the product
+    # route sees it
+    step = cli.product_step
+    bump = ZetaExpr.log2(Fraction(1, 2**64))
+    monkeypatch.setattr(cli, "product_step", lambda d, below, column: step(d, below, column) + bump)
     code, out, _ = run(capsys, "crosscheck", "--d-max", "11")
     assert code == 1
     rows = out.splitlines()[1:-1]

@@ -272,6 +272,28 @@ def test_zeta_odd_validation():
         zeta_odd(1)
 
 
+def test_f_and_zeta_indices_must_be_ints():
+    # each int record is cached first: a bool or float index must be
+    # rejected, not served that record from the cache
+    f_odd(1), f_even(1), f_expr(3), zeta_odd(3)
+    with pytest.raises(ValueError, match="m must be an integer, got True"):
+        f_odd(True)
+    with pytest.raises(ValueError, match="m must be an integer, got 2.0"):
+        f_odd(2.0)
+    with pytest.raises(ValueError, match="m must be an integer, got 2.0"):
+        f_even(2.0)
+    with pytest.raises(ValueError, match="m must be an integer, got True"):
+        f_even(True)
+    with pytest.raises(ValueError, match="m must be an integer, got 3.0"):
+        f_expr(3.0)
+    with pytest.raises(ValueError, match="m must be an integer, got True"):
+        f_expr(True)
+    with pytest.raises(ValueError, match="s must be an integer, got 3.0"):
+        zeta_odd(3.0)
+    with pytest.raises(ValueError, match="s must be an integer, got True"):
+        zeta_odd(True)
+
+
 def test_precision_context_floor():
     with pytest.raises(ValueError):
         PrecisionContext(decimal_digits=10)
