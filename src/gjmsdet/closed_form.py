@@ -24,6 +24,7 @@ from math import comb, factorial
 from operator import mul
 
 import mpmath as mp
+from mpmath import libmp
 
 from .central_factorials import _central_poly
 from .errors import _require_int, validate_d_k
@@ -88,7 +89,8 @@ def _pi_f_odd_sum(top: int, weights: list[int]) -> tuple[int, list[int]]:
     acc[0] <<= 4 * top
     for n in range(1, top + 1):
         fact *= (1 - 2 * n) * 2 * n
-        acc[n] = fact * ((1 << 2 * n) - 1) * acc[n] << 4 * (top - n)
+        a = fact * acc[n]
+        acc[n] = (a << 2 * n) - a << 4 * (top - n)
     return abs(fact) << 4 * top, acc
 
 
@@ -161,9 +163,9 @@ def _basis(ctx: PrecisionContext) -> dict:
     """Table record pi power -> row [e, ints] of aligned basis values: slot
     n's term is ints[n] * 2^e exactly, e the least exponent in the row.
 
-    evaluate grows a row slot by slot as records need more slots: it
-    computes _basis_value only for the new slots and, when one has a new
-    least exponent, shifts the ints already there.  One context hash per
+    evaluate grows a row once per record that needs more slots: it computes
+    _basis_value only for the new slots and, when they hold a new least
+    exponent, shifts the ints already there once.  One context hash per
     call, not one per term.
     """
     return {}
@@ -194,14 +196,17 @@ def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.m
     nums = expr.nums
     row = _basis(ctx).setdefault(expr.pi_pow, [0, []])
     e, ints = row
-    for n in range(len(ints), len(nums)):
-        man, exp = _basis_value(n, expr.pi_pow, ctx)
-        if not ints or exp < e:
-            ints[:] = [v << (e - exp) for v in ints]
-            e = row[0] = exp
-        ints.append(man << (exp - e))
+    if len(nums) > len(ints):
+        new = [_basis_value(n, expr.pi_pow, ctx) for n in range(len(ints), len(nums))]
+        low = min(exp for _, exp in new)
+        if not ints or low < e:
+            ints[:] = [v << (e - low) for v in ints]
+            e = row[0] = low
+        ints += [man << (exp - e) for man, exp in new]
     total = sum(map(mul, nums, ints))
-    with mp.workdps(digits + 10):
-        value = mp.ldexp(mp.fdiv(total, expr.den), e)
+    # the one rounding, to nearest at digits + 10; the shift by 2^e is exact
+    quotient = libmp.mpf_div(libmp.from_int(total), libmp.from_int(expr.den),
+                             libmp.dps_to_prec(digits + 10), libmp.round_nearest)
+    value = mp.make_mpf(libmp.mpf_shift(quotient, e))
     object.__setattr__(expr, "_value", (digits, value))
     return value

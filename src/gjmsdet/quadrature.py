@@ -14,9 +14,9 @@ to 1e4; the semi-infinite domain is truncated where a closed-form geometric
 tail bound drops below tolerance.  The d-1 integrals of one sphere form
 one table of (dimension, k) pairs, d for the mains and d-1 for the factors,
 and are integrated together: one adaptive Gauss-Kronrod pass (QUADPACK's
-21-point rule, one main-integrand call vectorised over the abscissae and
-the table) on panels they share.  The scale 2^{d-1} must be a finite
-double, which limits d to D_MAX_FLOAT64.
+21-point rule, one main-integrand call per dimension vectorised over the
+abscissae and that dimension's rows) on panels they share.  The scale
+2^{d-1} must be a finite double, which limits d to D_MAX_FLOAT64.
 """
 
 from __future__ import annotations
@@ -121,10 +121,11 @@ def integrand_main(x, d: int, k):
     reaches 2^1024 at d = 1023, keeps x near 0 from overflowing.
     """
     x = np.asarray(x, dtype=float)
-    t = np.exp(-x)
-    grow = np.exp((k - d / 2) * x)
-    num = (-np.expm1(-x)) * (-np.expm1(-2 * k * x))
-    return (math.pi / (x * x + _PI2)) * 2.0 ** (d - 1) * grow * num * (1.0 + t) ** -(d + 1)
+    # the k-free factors, shaped as x and d; (1-e^-x)(1-e^-2kx) is the
+    # product of the two expm1 values, whose signs cancel
+    fixed = (math.pi / (x * x + _PI2)) * 2.0 ** (d - 1) * np.expm1(-x)
+    fixed = fixed * (1.0 + np.exp(-x)) ** -(d + 1)
+    return fixed * np.exp((k - d / 2) * x) * np.expm1(-2 * k * x)
 
 
 def integrand_factor(x, d: int, j):
@@ -147,14 +148,19 @@ def _gk21(f, halfw):
 
 def _evaluate(centre, halfw, dims: np.ndarray, ks: np.ndarray):
     """qk21 of the main integrands at (dims, ks) on the panels (centre,
-    halfw): all panels in one integrand call unless that holds more than
-    _CHUNK_VALUES values, which bounds the memory whatever the panel count."""
+    halfw).  The rows of one dimension are contiguous (a sphere's table has
+    two dimensions), and each is one integrand call with a scalar d, so 1+e^-x
+    is raised to its power once per dimension, not once per row.  All panels
+    go in one pass unless that holds more than _CHUNK_VALUES values, which
+    bounds the memory whatever the panel count."""
     step = max(1, _CHUNK_VALUES // (dims.size * _NODES.size))
-    parts = [
-        _gk21(integrand_main(centre[i:i + step, None] + halfw[i:i + step, None] * _NODES,
-                             dims[:, None, None], ks[:, None, None]), halfw[i:i + step])
-        for i in range(0, centre.size, step)
-    ]
+    ends = [*(np.flatnonzero(np.diff(dims)) + 1).tolist(), dims.size]
+    groups = [(int(dims[a]), ks[a:b, None, None]) for a, b in zip([0, *ends], ends)]
+    parts = []
+    for i in range(0, centre.size, step):
+        x = centre[i:i + step, None] + halfw[i:i + step, None] * _NODES
+        f = np.concatenate([integrand_main(x, dim, k) for dim, k in groups])
+        parts.append(_gk21(f, halfw[i:i + step]))
     return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
 
 

@@ -12,10 +12,12 @@ All odd-sphere GJMS log-determinants live in this space, at ``pi_pow = 0``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce, wraps
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Iterator, Union
 
 __all__ = ["Atom", "ONE", "LOG2", "ZetaExpr"]
@@ -55,6 +57,33 @@ def _exact(pi_pow, coeff) -> Fraction:
     if not (_is_int(coeff) or isinstance(coeff, Fraction)):
         raise ValueError(f"coefficient must be exact, got {coeff!r}")
     return Fraction(coeff)
+
+
+# Python's int/str digit limit (0: none), absent before 3.10.7
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _any_digits(convert):
+    """convert, run with Python's int/str digit limit lifted for the call.
+
+    Exact coefficients pass the default limit of 4,300 digits (from d = 1667
+    at k = 1).  One lift per rendered or parsed record, not one per slot; the
+    limit is process-wide, so other threads see it lifted meanwhile.  A limit
+    already lifted (as by the CLI), or absent, is left alone.
+    """
+
+    @wraps(convert)
+    def lifted(*args):
+        limit = _digit_limit()
+        if not limit:
+            return convert(*args)
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(*args)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return lifted
 
 
 @lru_cache(maxsize=4096)  # bounded: from_json records may carry any power of pi
@@ -104,13 +133,23 @@ class ZetaExpr:
     def __post_init__(self) -> None:
         if not self.den:
             raise ValueError("denominator must be nonzero")
-        nums = list(self.nums)
+        den, nums = self.den, list(self.nums)
         while nums and not nums[-1]:
             nums.pop()
-        g = gcd(self.den, *nums) if self.den > 0 else -gcd(self.den, *nums)
+        # the common factor's power of two is the lowest set bit of the OR of
+        # all fields, taken out by shifts; gcd and division see only the odd rest
+        low = reduce(or_, nums, den)
+        shift = (low & -low).bit_length() - 1
+        if shift:
+            den >>= shift
+            nums = [c >> shift for c in nums]
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
         object.__setattr__(self, "pi_pow", self.pi_pow if nums else 0)
-        object.__setattr__(self, "den", self.den // g)
-        object.__setattr__(self, "nums", tuple([c // g for c in nums]))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(nums))
 
     # -- constructors -------------------------------------------------
 
@@ -190,6 +229,7 @@ class ZetaExpr:
 
     # -- rendering ----------------------------------------------------
 
+    @_any_digits
     def __str__(self) -> str:
         parts = []
         for n, num, den in self._reduced():
@@ -200,6 +240,7 @@ class ZetaExpr:
         out = "".join(parts)
         return "0" if not out else out[3:] if out[1] == "+" else "-" + out[3:]
 
+    @_any_digits
     def to_latex(self) -> str:
         """LaTeX rendering, zeta terms written as fractions over pi powers."""
         parts = []
@@ -215,12 +256,14 @@ class ZetaExpr:
         """The terms as fresh JSON objects, parsed from :meth:`to_json`."""
         return json.loads(self.to_json())
 
+    @_any_digits
     def to_json(self) -> str:
         """Deterministic JSON, written as ``json.dumps`` with separators ``,`` and ``:``."""
         terms = [f'{_atom_text(n, self.pi_pow)[2]}{num}/{den}"}}' for n, num, den in self._reduced()]
         return "[" + ",".join(terms) + "]"
 
     @classmethod
+    @_any_digits
     def from_json_obj(cls, obj: list[dict]) -> "ZetaExpr":
         """Inverse of :meth:`to_json_obj`: coefficients must be strings such
         as ``"p/q"``; any malformed term raises ``ValueError``."""
@@ -247,3 +290,7 @@ class ZetaExpr:
     @classmethod
     def from_json(cls, text: str) -> "ZetaExpr":
         return cls.from_json_obj(json.loads(text))
+
+
+# the dataclass's own repr, under the same lift as the renderers
+ZetaExpr.__repr__ = _any_digits(ZetaExpr.__repr__)

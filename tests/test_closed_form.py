@@ -385,6 +385,26 @@ def test_basis_rows_grow_one_slot_at_a_time(monkeypatch):
             assert mp.ldexp(mp.fdiv(total, e.den), e_min)._mpf_ == value._mpf_, e
 
 
+def test_evaluate_rounds_as_context_fdiv_and_ldexp():
+    # the oracle divides the aligned integer sum by mpmath's context
+    # arithmetic at digits + 10 and scales it by ldexp; evaluate's one libmp
+    # division must give the same mpf bits, for every pair d <= 61 and f_m
+    exprs = [logdet_gjms(d, k) for d in range(3, 62, 2) for k in range(1, (d - 1) // 2 + 1)]
+    exprs += [f_expr(m) for m in range(61)]
+    for digits in (15, 50, 100):
+        ctx = PrecisionContext(digits)
+        basis = {}  # record pi power -> [(mantissa, exponent)] per slot
+        for e in exprs:
+            row = basis.setdefault(e.pi_pow, [])
+            row += [closed_form._basis_value(n, e.pi_pow, ctx) for n in range(len(row), len(e.nums))]
+            e_min = min(exp for _, exp in row[:len(e.nums)])
+            total = sum(c * man << (exp - e_min) for c, (man, exp) in zip(e.nums, row))
+            with mp.workdps(digits + 10):
+                want = mp.ldexp(mp.fdiv(total, e.den), e_min)
+            got = evaluate(ZetaExpr(e.pi_pow, e.den, e.nums), ctx)
+            assert got._mpf_ == want._mpf_, (digits, e)
+
+
 def test_evaluate_matches_direct_high_precision_sum():
     rng = random.Random(2014)
     for _ in range(20):

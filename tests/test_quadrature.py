@@ -157,9 +157,9 @@ def test_float_input_matches_the_array_path():
 
 
 def test_dimension_table_rows_match_one_dimension_calls():
-    # _sphere calls integrand_main once on a (dimension, k) table: the mains
-    # on S^d at k = 1..K, then the factors on S^(d-1) at k - 1/2; each row
-    # must be the one-dimension call, within the bound of
+    # integrand_main on a (dimension, k) table, as _sphere's table: the
+    # mains on S^d at k = 1..K, then the factors on S^(d-1) at k - 1/2; each
+    # row must be the one-dimension call, within the bound of
     # test_float_input_matches_the_array_path
     xs = np.concatenate([np.geomspace(1e-300, 1e4, 601), np.linspace(1e-3, 60.0, 601)])
     for d in (3, 41, 1023):
@@ -356,6 +356,22 @@ def test_panel_cap_returns_the_error_reached(monkeypatch):
     assert res.neval == 16 * 21
     assert res.error > tol
     assert abs(res.value - float(evaluate(logdet_gjms(41, 1)))) <= res.error
+
+
+def test_sphere_calls_the_integrand_once_per_dimension(monkeypatch):
+    # each round evaluates the mains on S^d and the factors on S^(d-1) in one
+    # call each with a scalar d, so (1+e^-x)^-(d+1) is taken per dimension,
+    # not per row of the table
+    seen = []
+
+    def spy(x, d, k):
+        seen.append((d, np.shape(k)))
+        return integrand_main(x, d, k)
+
+    monkeypatch.setattr(quadrature, "integrand_main", spy)
+    quadrature._sphere.__wrapped__(15, QuadratureConfig())
+    assert seen[:2] == [(15, (7, 1, 1)), (14, (7, 1, 1))]
+    assert all(type(d) is int and d in (14, 15) for d, _ in seen)
 
 
 def test_chunked_evaluation_matches_one_call(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
@@ -255,6 +256,56 @@ def test_canonical_form_under_scaling(e, p, s, pad, w):
     assert ZetaExpr.from_terms(scaled.terms()) == e
     fold = add(scale(w, sparse(e)), scale(s, sparse(e)))
     assert ZetaExpr._weighted_sum([(w, scaled), (s, e)]) == dense(fold)
+
+
+def _gcd_reduced(den, nums):
+    """The plain canonical reduction, kept as the oracle of the constructor's
+    shifts and odd gcd: trailing zeros dropped, then one division by
+    gcd(den, *nums) carrying den's sign."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return den // g, tuple(c // g for c in nums)
+
+
+@given(st.integers(-(10**12), 10**12).filter(bool),
+       st.one_of(st.lists(st.integers(-(10**12), 10**12), max_size=8),
+                 st.lists(st.just(0), max_size=4)),
+       st.integers(-(10**20), 10**20).map(lambda v: 2 * v + 1), st.integers(0, 2000))
+def test_canonical_form_matches_plain_gcd_reduction(den, nums, odd, t):
+    # records scaled by odd * 2^t, negative denominators and all-zero
+    # numerators included, reduce to the gcd oracle's (den, nums)
+    scale_ = odd << t
+    raw_den, raw_nums = scale_ * den, [scale_ * c for c in nums]
+    e = ZetaExpr(3, raw_den, raw_nums)
+    assert (e.den, e.nums) == _gcd_reduced(raw_den, raw_nums)
+    assert e.pi_pow == (3 if e.nums else 0)
+
+
+def test_renderers_and_from_json_pass_the_int_str_digit_limit():
+    # a 5,001-digit numerator passes Python's default 4,300-digit int/str
+    # limit; every renderer and from_json lift it for the call only
+    e = ZetaExpr(0, 3, (10**5000 + 1,))
+    digits = "1" + "0" * 4999 + "1"
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    if get_limit:
+        sys.set_int_max_str_digits(4300)
+    try:
+        text = e.to_json()
+        assert text == f'[{{"atom":"one","pi_pow":0,"coeff":"{digits}/3"}}]'
+        assert str(e) == f"{digits}/3"
+        assert e.to_latex() == rf"\frac{{{digits}}}{{3}}"
+        assert repr(e) == f"ZetaExpr(pi_pow=0, den=3, nums=({digits},))"
+        assert e.to_json_obj() == [{"atom": "one", "pi_pow": 0, "coeff": f"{digits}/3"}]
+        assert ZetaExpr.from_json(text) == e
+        assert ZetaExpr.from_json_obj(json.loads(text)) == e
+        if get_limit:
+            assert get_limit() == 4300
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(before)
 
 
 def test_log2_rejects_inexact_coefficients():
