@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import _require_int
+
 __all__ = ["central_t"]
 
 
@@ -46,6 +48,8 @@ def _central_poly(n: int) -> tuple[int, ...]:
 def central_t(n: int, k: int) -> Fraction:
     """Coefficient t(n, k) of x^k in x^[n]; 0 outside 1 <= k <= n or when
     n - k is odd."""
+    _require_int("n", n)
+    _require_int("k", k)
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 0:

@@ -17,7 +17,7 @@ numeric evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -44,14 +44,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision for numeric evaluation, in decimal digits."""
+    """Working precision for numeric evaluation, in decimal digits.
+
+    Every numeric step (zeta(odd), the basis values, evaluate's division)
+    runs at the one binary precision _prec, 10 guard digits past
+    decimal_digits, rounded to nearest; _prec takes no part in equality,
+    hashing or repr.
+    """
 
     decimal_digits: int = 50
+    _prec: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_int("decimal_digits", self.decimal_digits)
         if self.decimal_digits < 15:
             raise ValueError("decimal_digits must be >= 15")
+        object.__setattr__(self, "_prec", libmp.dps_to_prec(self.decimal_digits + 10))
 
 
 def f_even(m: int) -> Fraction:
@@ -150,12 +158,15 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
 
 @lru_cache(maxsize=None, typed=True)  # typed, as f_odd's
 def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
-    """zeta(s) for odd s >= 3 with relative error <= 10^-decimal_digits."""
+    """zeta(s) for odd s >= 3 with relative error <= 10^-decimal_digits.
+
+    libmp's integer zeta at ctx's binary precision, rounded to nearest: the
+    bits mp.zeta(s) gives at that precision, whatever mpmath's own context.
+    """
     _require_int("s", s)
     if s < 3 or s % 2 == 0:
         raise ValueError("s must be an odd integer >= 3")
-    with mp.workdps(ctx.decimal_digits + 10):
-        return mp.zeta(s)
+    return mp.make_mpf(libmp.mpf_zeta_int(s, ctx._prec, libmp.round_nearest))
 
 
 @lru_cache(maxsize=None)
@@ -172,12 +183,19 @@ def _basis(ctx: PrecisionContext) -> dict:
 
 
 def _basis_value(n: int, pi_pow: int, ctx: PrecisionContext) -> tuple[int, int]:
-    """Signed mantissa and exponent of slot n's term in a record with power
-    pi_pow, at the working precision evaluate uses for ctx."""
+    """Mantissa and exponent of slot n's term, which is positive, in a record
+    with power pi_pow: atom * pi^p in libmp, each step rounded to nearest at
+    ctx's binary precision, the bits mpmath's arithmetic gives there."""
     atom, pi_pow = _term(n, pi_pow)
-    with mp.workdps(ctx.decimal_digits + 10):
-        base = mp.mpf(1) if atom == ONE else mp.log(2) if atom == LOG2 else zeta_odd(atom, ctx)
-        return (base * mp.pi**pi_pow).man_exp
+    prec, rnd = ctx._prec, libmp.round_nearest
+    if atom == ONE:
+        base = libmp.fone
+    elif atom == LOG2:
+        base = libmp.mpf_ln2(prec, rnd)
+    else:  # through the module global: the per-precision cache
+        base = zeta_odd(atom, ctx)._mpf_
+    power = libmp.mpf_pow_int(libmp.mpf_pi(prec, rnd), pi_pow, prec, rnd)
+    return libmp.mpf_mul(base, power, prec, rnd)[1:3]
 
 
 def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
@@ -204,9 +222,9 @@ def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.m
             e = row[0] = low
         ints += [man << (exp - e) for man, exp in new]
     total = sum(map(mul, nums, ints))
-    # the one rounding, to nearest at digits + 10; the shift by 2^e is exact
+    # the one rounding, to nearest at ctx's precision; the shift by 2^e is exact
     quotient = libmp.mpf_div(libmp.from_int(total), libmp.from_int(expr.den),
-                             libmp.dps_to_prec(digits + 10), libmp.round_nearest)
+                             ctx._prec, libmp.round_nearest)
     value = mp.make_mpf(libmp.mpf_shift(quotient, e))
     object.__setattr__(expr, "_value", (digits, value))
     return value

@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from .errors import _require_int
+
 __all__ = ["bernoulli"]
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
@@ -21,6 +23,7 @@ def bernoulli(n: int) -> Fraction:
     (m >= 1) and memoized up to the largest index requested.  Only even
     indices are consumed downstream, where both B_1 conventions agree.
     """
+    _require_int("n", n)
     if n < 0:
         raise ValueError("n must be >= 0")
     while len(_BERNOULLI) <= n:

@@ -16,18 +16,23 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .errors import _require_int
 from .exact import bernoulli
 
 __all__ = ["d_norlund"]
 
 
-@lru_cache(maxsize=None)
+# typed, so a bool or float index misses the cache and is rejected, not
+# served an int's value
+@lru_cache(maxsize=None, typed=True)
 def d_norlund(m: int, n: int) -> Fraction:
     """D^(m)_{2n} by composition with the m = 1 series.
 
     D^(m)_{2n} = (1/n) sum_{j=1}^{n} C(2n, 2j) ((m+1)j - n) (2 - 4^j)
                  B_{2j} D^(m)_{2n-2j},   D^(m)_0 = 1.
     """
+    _require_int("m", m)
+    _require_int("n", n)
     if m < 1:
         raise ValueError("m must be >= 1")
     if n < 0:

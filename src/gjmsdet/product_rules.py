@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .closed_form import logdet_gjms
-from .errors import validate_d_k
+from .errors import _require_int, validate_d_k
 from .zexpr import ZetaExpr
 
 __all__ = [
@@ -32,6 +32,7 @@ def rule_exponents(k: int) -> list[int]:
     anti-diagonals.  These are the Chebyshev split: with U_{2k-1}(x) =
     x (u_0 + u_1 x^2 + ... + u_{k-1} x^{2k-2}), v_j = (-1)^{k-1+j} u_j / 2^{2j+1}.
     """
+    _require_int("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     return [comb(k + j, k - 1 - j) for j in range(k)]

@@ -22,6 +22,7 @@ abscissae and that dimension's rows) on panels they share.  The scale
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,6 +95,10 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
+        # a bool is no tolerance (True would integrate at 1.0); a str or None
+        # would fail the range check below with a TypeError
+        if isinstance(self.abs_tol, bool) or not isinstance(self.abs_tol, numbers.Real):
+            raise ValueError(f"abs_tol must be a number, got {self.abs_tol!r}")
         if not _ABS_TOL_FLOOR <= self.abs_tol < math.inf:  # also rejects nan
             raise ValueError(
                 f"abs_tol must be finite and >= {_ABS_TOL_FLOOR} (the double-precision "

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gjmsdet import central_factorials
 from gjmsdet.central_factorials import _central_poly, central_t
 from gjmsdet.closed_form import f_odd
 from norlund_oracle import f_odd_norlund, verify_central_norlund_identity
@@ -60,6 +61,24 @@ def test_central_t_validation():
         central_t(0, 1)
     with pytest.raises(ValueError):
         central_t(3, -1)
+
+
+def test_central_t_indices_must_be_ints(monkeypatch):
+    # cold (only the seed rows), then warm: a bool or float index must be
+    # rejected, not read as an int's row or slot
+    monkeypatch.setattr(central_factorials, "_CENTRAL", ([(1,)], [(1,)]))
+    for warm in (False, True):
+        if warm:
+            central_t(1, 1), central_t(3, 1)
+        with pytest.raises(ValueError, match="n must be an integer, got True"):
+            central_t(True, 1)
+        with pytest.raises(ValueError, match="n must be an integer, got 3.0"):
+            central_t(3.0, 1)
+        with pytest.raises(ValueError, match="k must be an integer, got True"):
+            central_t(3, True)
+        with pytest.raises(ValueError, match="k must be an integer, got 1.0"):
+            central_t(3, 1.0)
+    assert central_t(3, 1) == Fraction(-1, 4)
 
 
 def test_recurrence_shift_by_two():

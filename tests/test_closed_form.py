@@ -14,6 +14,7 @@ from gjmsdet.central_factorials import _central_poly
 from gjmsdet.closed_form import (
     PrecisionContext,
     _basis,
+    _basis_value,
     _pi_f_odd_sum,
     evaluate,
     f_even,
@@ -270,6 +271,49 @@ def test_zeta_odd_validation():
         zeta_odd(4)
     with pytest.raises(ValueError):
         zeta_odd(1)
+
+
+def basis_value_oracle(n, pi_pow, digits):
+    """Slot n's (mantissa, exponent) in a record with power pi_pow, computed
+    in an mpmath context at digits + 10: 1, log 2 or zeta(2n-1), times pi to
+    the slot's own power."""
+    with mp.workdps(digits + 10):
+        if n < 2:
+            base = mp.log(2) if n else mp.mpf(1)
+        else:
+            base, pi_pow = mp.zeta(2 * n - 1), pi_pow - 2 * n + 2
+        return (base * mp.pi**pi_pow).man_exp
+
+
+def test_libmp_values_match_the_mpmath_context_oracle():
+    # zeta(odd) and the basis values are computed in libmp at one binary
+    # precision; they must be bit for bit what mpmath's context gives
+    zeta_odd.cache_clear()
+    for digits in (15, 50, 100):
+        ctx = PrecisionContext(digits)
+        with mp.workdps(digits + 10):
+            for s in range(3, 402, 2):
+                assert zeta_odd(s, ctx)._mpf_ == mp.zeta(s)._mpf_, (digits, s)
+        for n in range(120):
+            for pi_pow in (-3, 0, 1):
+                want = basis_value_oracle(n, pi_pow, digits)
+                assert _basis_value(n, pi_pow, ctx) == want, (digits, n, pi_pow)
+
+
+def test_values_ignore_mpmath_working_precision():
+    # the numeric layer reads only its PrecisionContext, never mpmath's own
+    exprs = (logdet_gjms(41, 7), f_odd(9), ZetaExpr(-3, 11, (1, -2, 5)))
+    ctx = PrecisionContext(50)
+    got = []
+    for dps in (15, 300):
+        _basis.cache_clear()
+        zeta_odd.cache_clear()
+        with mp.workdps(dps):
+            # new equal records, whose value memos are empty
+            values = [evaluate(ZetaExpr(e.pi_pow, e.den, e.nums), ctx) for e in exprs]
+            zetas = [zeta_odd(s, ctx) for s in (3, 5, 41)]
+        got.append([v._mpf_ for v in values + zetas])
+    assert got[0] == got[1]
 
 
 def test_f_and_zeta_indices_must_be_ints():

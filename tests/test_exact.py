@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from gjmsdet import exact
 from gjmsdet.exact import bernoulli
 
 
@@ -44,4 +45,18 @@ def test_odd_bernoulli_vanish():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def test_bernoulli_index_must_be_an_int(monkeypatch):
+    # cold (a table holding only B_0), then warm: a bool or float index must
+    # be rejected, not read as an int's entry
+    monkeypatch.setattr(exact, "_BERNOULLI", [Fraction(1)])
+    for warm in (False, True):
+        if warm:
+            bernoulli(2)
+        with pytest.raises(ValueError, match="n must be an integer, got True"):
+            bernoulli(True)
+        with pytest.raises(ValueError, match="n must be an integer, got 2.0"):
+            bernoulli(2.0)
+    assert bernoulli(2) == Fraction(1, 6)
 

@@ -69,6 +69,24 @@ def test_validation():
         d_norlund_series_oracle(0, 3)
 
 
+def test_indices_must_be_ints():
+    # cold, then with the int values cached: a bool or float index must be
+    # rejected, not served an int's value from the cache
+    d_norlund.cache_clear()
+    for warm in (False, True):
+        if warm:
+            d_norlund(1, 1), d_norlund(2, 1)
+        with pytest.raises(ValueError, match="m must be an integer, got 2.0"):
+            d_norlund(2.0, 1)
+        with pytest.raises(ValueError, match="m must be an integer, got True"):
+            d_norlund(True, 1)
+        with pytest.raises(ValueError, match="n must be an integer, got True"):
+            d_norlund(2, True)
+        with pytest.raises(ValueError, match="n must be an integer, got 1.0"):
+            d_norlund(2, 1.0)
+    assert d_norlund(2, 1) == Fraction(-2, 3)
+
+
 def test_sech_laurent_series_consistency():
     """The Laurent expansion of sech^m(z/2) at z = pi*i built from
     D^(m)_{2k} reproduces the function numerically near the pole."""

@@ -86,6 +86,9 @@ def test_product_rule_validation():
         product_rule(5, 2.0)
     with pytest.raises(ValueError):
         rule_exponents(0)
+    for k in (True, 2.0):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k}"):
+            rule_exponents(k)
 
 
 def test_rendering():

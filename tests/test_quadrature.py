@@ -275,6 +275,11 @@ def test_divergence_and_validation_guards():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=1e-15)
+    # a bool is no tolerance (True would integrate at 1.0), nor a str or None
+    for bad in (True, False, "1e-9", None):
+        with pytest.raises(ValueError, match=f"abs_tol must be a number, got {bad!r}"):
+            QuadratureConfig(abs_tol=bad)
+    assert QuadratureConfig(abs_tol=1).abs_tol == 1
     # the largest tolerances, where pi abs_tol overflows a double, truncate at
     # the floor X = 40 and stop after the first pass, as 1e300 does
     huge = logdet_quadrature_result(3, 1, QuadratureConfig(abs_tol=1e308))
