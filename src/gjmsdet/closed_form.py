@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, log
 from operator import mul
 
 import mpmath as mp
 from mpmath import libmp
+from mpmath.libmp.gammazeta import borwein_coefficients
 
 from .central_factorials import _central_poly
 from .errors import _require_int, validate_d_k
@@ -48,7 +49,9 @@ class PrecisionContext:
 
     Every numeric step (zeta(odd), the basis values, evaluate's division)
     runs at the one binary precision _prec, 10 guard digits past
-    decimal_digits, rounded to nearest; _prec takes no part in equality,
+    decimal_digits, rounded to nearest, except zeta(odd) in mpmath's
+    Euler-product range (from about 65 digits): that value carries
+    _prec + 20 bits, as mp.zeta's does.  _prec takes no part in equality,
     hashing or repr.
     """
 
@@ -160,13 +163,53 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
 def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
     """zeta(s) for odd s >= 3 with relative error <= 10^-decimal_digits.
 
-    libmp's integer zeta at ctx's binary precision, rounded to nearest: the
-    bits mp.zeta(s) gives at that precision, whatever mpmath's own context.
+    The bits a fresh mp.zeta(s) gives at ctx's binary precision prec,
+    whatever ran before in the process: mpmath 1.3.0's mpf_zeta_int at
+    wp = prec + 20, with no zeta_int_cache.  Rounded to nearest at prec,
+    except in the Euler-product range (from about 65 digits), whose value
+    carries wp bits, as mp.zeta's does.
     """
     _require_int("s", s)
     if s < 3 or s % 2 == 0:
         raise ValueError("s must be an odd integer >= 3")
-    return mp.make_mpf(libmp.mpf_zeta_int(s, ctx._prec, libmp.round_nearest))
+    prec, rnd, wp = ctx._prec, libmp.round_nearest, ctx._prec + 20
+    if s >= wp:  # 2^-s vanishes
+        return mp.make_mpf(libmp.mpf_perturb(libmp.fone, 0, prec, rnd))
+    if s >= wp * 0.431:  # 5^-s vanishes
+        t = (1 << wp) + (1 << wp - s) + (1 << wp) // 3**s + (1 << max(0, wp - 2 * s))
+        return mp.make_mpf(libmp.from_man_exp(t, -wp, prec, rnd))
+    m = wp / (s - 1) + 1
+    if m < 30 and int(2.0**m + 1) < int(wp / 2.54 + 5) / 10:  # Euler product
+        t = libmp.fone
+        for p in libmp.list_primes(int(2.0**m + 1)):
+            powprec = int(wp - s * log(p, 2))
+            if powprec < 2:
+                break
+            power = libmp.mpf_pow_int(libmp.from_int(p), -s, powprec)
+            t = libmp.mpf_mul(t, libmp.mpf_sub(libmp.fone, power, wp), wp)
+        return mp.make_mpf(libmp.mpf_div(libmp.fone, t, wp))
+    dn, x, last, terms = sweep = _borwein(wp)  # Borwein's series
+    if s < last:
+        last, terms = 0, x
+    terms = [t // k ** (s - last) for k, t in enumerate(terms, 1)]
+    sweep[2:] = s, terms
+    t = (sum(terms) << wp) // -dn
+    t = (t << wp) // ((1 << wp) - (1 << wp + 1 - s))
+    return mp.make_mpf(libmp.from_man_exp(t, -2 * wp, prec, rnd))
+
+
+@lru_cache(maxsize=None)
+def _borwein(wp: int) -> list:
+    """Borwein's eta series as mpf_zeta_int sums it at working precision wp:
+    [d_n, x, s, terms], x_k = ((-1)^k (d_k - d_n)) << wp and terms[k] =
+    x_k // (k+1)^s for the last s read (0 before the first).  Since
+    floor(floor(x)/b) = floor(x/b), the terms at s' > s are terms[k] //
+    (k+1)^(s'-s), mpmath's integers: the next odd s costs one division by
+    (k+1)^2 a term.  A smaller s' starts again from x."""
+    n = int(wp / 2.54 + 5)
+    d = borwein_coefficients(n)
+    x = [(-1) ** k * (d[k] - d[n]) << wp for k in range(n)]
+    return [d[n], x, 0, x]
 
 
 @lru_cache(maxsize=None)

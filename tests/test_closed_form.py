@@ -5,6 +5,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 import mpmath as mp
+from mpmath.libmp import gammazeta, round_nearest
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -281,6 +282,7 @@ def basis_value_oracle(n, pi_pow, digits):
         if n < 2:
             base = mp.log(2) if n else mp.mpf(1)
         else:
+            gammazeta.zeta_int_cache.clear()  # a fresh mp.zeta, as in the test below
             base, pi_pow = mp.zeta(2 * n - 1), pi_pow - 2 * n + 2
         return (base * mp.pi**pi_pow).man_exp
 
@@ -288,16 +290,64 @@ def basis_value_oracle(n, pi_pow, digits):
 def test_libmp_values_match_the_mpmath_context_oracle():
     # zeta(odd) and the basis values are computed in libmp at one binary
     # precision; they must be bit for bit what mpmath's context gives
+    # (mpmath serves zeta(s) from a cache filled at any higher precision, so
+    # each oracle call starts from an empty one)
     zeta_odd.cache_clear()
     for digits in (15, 50, 100):
         ctx = PrecisionContext(digits)
         with mp.workdps(digits + 10):
             for s in range(3, 402, 2):
+                gammazeta.zeta_int_cache.clear()
                 assert zeta_odd(s, ctx)._mpf_ == mp.zeta(s)._mpf_, (digits, s)
         for n in range(120):
             for pi_pow in (-3, 0, 1):
                 want = basis_value_oracle(n, pi_pow, digits)
                 assert _basis_value(n, pi_pow, ctx) == want, (digits, n, pi_pow)
+
+
+def fresh_zeta_int(s, prec):
+    """mpmath's integer zeta at prec, from an empty zeta_int_cache."""
+    gammazeta.zeta_int_cache.clear()
+    return gammazeta.mpf_zeta_int(s, prec, round_nearest)
+
+
+def test_zeta_odd_is_a_fresh_mpf_zeta_int_in_any_order():
+    # one Borwein sweep per precision serves every s; whatever order the
+    # values are asked in, each is the fresh mpf_zeta_int bits, and mpmath's
+    # cache is neither read nor written
+    for digits in (15, 50, 66, 100, 300):
+        ctx = PrecisionContext(digits)
+        want = {s: fresh_zeta_int(s, ctx._prec) for s in range(3, 802, 2)}
+        shuffled = list(want)
+        random.Random(23).shuffle(shuffled)
+        for order in (list(want), list(want)[::-1], shuffled):
+            zeta_odd.cache_clear()
+            closed_form._borwein.cache_clear()
+            gammazeta.zeta_int_cache.clear()
+            got = {s: zeta_odd(s, ctx)._mpf_ for s in order}
+            assert not gammazeta.zeta_int_cache, digits
+            assert got == want, (digits, order[:3])
+
+
+def test_zeta_odd_bits_ignore_what_ran_before():
+    # at 66 digits zeta(115) is in the Euler-product range, where a fresh
+    # mp.zeta carries prec + 20 = 276 bits; a value mpmath cached at 400
+    # digits is rounded to 255 instead, and must not be what zeta_odd gives
+    ctx = PrecisionContext(66)
+    fresh = fresh_zeta_int(115, ctx._prec)
+    assert fresh[3] == 276
+    e = logdet_gjms(231, 1)
+    _basis.cache_clear()
+    zeta_odd.cache_clear()
+    # a new equal record, whose value memo is empty
+    evaluate(ZetaExpr(e.pi_pow, e.den, e.nums), PrecisionContext(400))
+    assert zeta_odd(115, ctx)._mpf_ == fresh
+    zeta_odd.cache_clear()
+    with mp.workdps(400):  # another mpmath user, at a higher precision
+        mp.zeta(115)
+    assert gammazeta.zeta_int_cache
+    assert zeta_odd(115, ctx)._mpf_ == fresh
+    gammazeta.zeta_int_cache.clear()
 
 
 def test_values_ignore_mpmath_working_precision():
