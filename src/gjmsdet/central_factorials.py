@@ -8,13 +8,13 @@ and its monomial coefficients t(n, k) are the central factorial
 coefficients of the first kind.  The classical "central differentials of
 nothing" are the rescaling D^k 0^[n] = k! * t(n, k).
 
-For odd arguments the t(*, *) are tied to the Norlund numbers by
+The t(*, *) are tied to the Norlund numbers by (m >= 2n+1)
 
-    t(2m+1, 2n+1) = 2^{2(n-m)} C(2m, 2n) D^(2m+1)_{2m-2n},
+    t(m, m-2n) = 4^{-n} C(m-1, 2n) D^(m)_{2n},
 
-and D^(2m)_{2m} is an integral of x^[2m+1] / x.  Through these the rows of
-x^[2m+1] supply every residue constant f_m (see :mod:`gjmsdet.closed_form`);
-the tests check the identity against the Norlund recursion.
+and D^(2m)_{2m} is an integral of x^[2m+1] / x.  Through these the rows
+supply every residue constant f_m and every Norlund number; the tests check
+the identity against the Bernoulli composition recursion.
 
 x^[n] has the parity of n, so the integer rows 4^(n//2) x^[n] keep only the
 coefficients of x^(n%2), x^(n%2+2), ..., x^n; central_t alone maps k to a slot.

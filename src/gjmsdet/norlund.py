@@ -1,51 +1,54 @@
-"""Norlund numbers D^(m)_{2n}, the coefficients of (t cosec t)^m.
+"""Norlund numbers D^(m)_{2n} = 2^{2n} B^(m)_{2n}(m/2), the coefficients of
 
-These are scaled higher Bernoulli polynomial values,
-D^(m)_{2n} = 2^{2n} B^(m)_{2n}(m/2), and satisfy
+    (t / sin t)^m = sum_{n >= 0} (-1)^n D^(m)_{2n} / (2n)! * t^{2n},
 
-    (t / sin t)^m = sum_{n >= 0} (-1)^n D^(m)_{2n} / (2n)! * t^{2n}.
-
-They are built by a composition recursion with the m = 1 series.  The
-closed form reads its Norlund numbers off central factorial rows instead;
-this module serves ``tables --d-norlund`` and the tests' oracles.
+read off the central factorial rows: D^(m)_{2n} = 4^n t(m, m-2n) / C(m-1, 2n)
+for m >= 2n+1, and for fixed n it is a polynomial of degree n in m, so its
+forward differences at m = 2n+1 .. 3n+1 give every m.  The composition
+recursion with the m = 1 series is the oracle in ``tests/norlund_oracle.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
+from .central_factorials import _central_poly
 from .errors import _require_int
-from .exact import bernoulli
 
 __all__ = ["d_norlund"]
+
+
+@lru_cache(maxsize=None)
+def _newton(n: int) -> tuple[tuple[int, ...], int]:
+    """Forward differences 0..n of m -> D^(m)_{2n} at m = 2n+1, over one common
+    denominator; the point m reads 4^(m//2) t(m, m-2n), n entries from the top."""
+    points = [Fraction(_central_poly(m)[-1 - n], comb(m - 1, 2 * n) << 2 * (m // 2 - n))
+              for m in range(2 * n + 1, 3 * n + 2)]
+    den = lcm(*(p.denominator for p in points))
+    diffs = [p.numerator * (den // p.denominator) for p in points]
+    for i in range(1, n + 1):  # diffs[j] becomes the j-th difference
+        for j in range(n, i - 1, -1):
+            diffs[j] -= diffs[j - 1]
+    return tuple(diffs), den
 
 
 # typed, so a bool or float index misses the cache and is rejected, not
 # served an int's value
 @lru_cache(maxsize=None, typed=True)
 def d_norlund(m: int, n: int) -> Fraction:
-    """D^(m)_{2n} by composition with the m = 1 series.
-
-    D^(m)_{2n} = (1/n) sum_{j=1}^{n} C(2n, 2j) ((m+1)j - n) (2 - 4^j)
-                 B_{2j} D^(m)_{2n-2j},   D^(m)_0 = 1.
-    """
+    """D^(m)_{2n} by the Newton sum sum_{i=0}^{n} C(m-2n-1, i) Delta^i over
+    _newton(n); the generalised binomial C(h, i) is an integer for h < 0 too."""
     _require_int("m", m)
     _require_int("n", n)
     if m < 1:
         raise ValueError("m must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(1, n + 1):
-        acc += (
-            comb(2 * n, 2 * j)
-            * ((m + 1) * j - n)
-            * (2 - 4**j)
-            * bernoulli(2 * j)
-            * d_norlund(m, n - j)
-        )
-    return acc / n
+    diffs, den = _newton(n)
+    h, c, acc = m - 2 * n - 1, 1, 0
+    for i, delta in enumerate(diffs):
+        acc += c * delta
+        c = c * (h - i) // (i + 1)
+    return Fraction(acc, den)

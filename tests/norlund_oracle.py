@@ -1,15 +1,19 @@
 """Test oracles built on the Norlund numbers.
 
+* ``d_norlund_recursion``: the Norlund numbers by the Bernoulli composition
+  recursion with the m = 1 series.  The production ``norlund.d_norlund``
+  reads them off central factorial rows instead, so the two share no
+  arithmetic.
 * ``f_odd_norlund`` and ``logdet_paper_formula``: the residue sum for the
-  odd constants f_{2m+1} over Norlund numbers from the composition
-  recursion.  The production ``closed_form.f_odd`` reads the same Norlund
+  odd constants f_{2m+1} over Norlund numbers from
+  ``d_norlund_recursion``.  The production ``closed_form.f_odd`` reads the same Norlund
   numbers off central factorial rows instead and stores dense records; the
   oracle sums sparse term dicts (``sparse_terms``), so the two share no
   arithmetic and are compared through ``sparse(expr) == oracle``.
 * ``d_norlund_series_oracle``: the Norlund numbers by powering the exact
-  Taylor series of t / sin t, sharing no code with ``d_norlund``.
+  Taylor series of t / sin t, sharing no code with either construction.
 * ``verify_central_norlund_identity``: the central factorial rows against
-  the Norlund recursion.
+  ``d_norlund_recursion``.
 """
 
 from dataclasses import dataclass
@@ -18,9 +22,39 @@ from functools import lru_cache
 from math import comb, factorial
 
 from gjmsdet.central_factorials import central_t
-from gjmsdet.norlund import d_norlund
+from gjmsdet.errors import _require_int
+from gjmsdet.exact import bernoulli
 from gjmsdet.zexpr import LOG2
 from sparse_terms import add, scale, shift_pi, term
+
+
+# typed, so a bool or float index misses the cache and is rejected, not
+# served an int's value
+@lru_cache(maxsize=None, typed=True)
+def d_norlund_recursion(m: int, n: int) -> Fraction:
+    """D^(m)_{2n} by composition with the m = 1 series.
+
+    D^(m)_{2n} = (1/n) sum_{j=1}^{n} C(2n, 2j) ((m+1)j - n) (2 - 4^j)
+                 B_{2j} D^(m)_{2n-2j},   D^(m)_0 = 1.
+    """
+    _require_int("m", m)
+    _require_int("n", n)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j in range(1, n + 1):
+        acc += (
+            comb(2 * n, 2 * j)
+            * ((m + 1) * j - n)
+            * (2 - 4**j)
+            * bernoulli(2 * j)
+            * d_norlund_recursion(m, n - j)
+        )
+    return acc / n
 
 
 def eta_expr(ell):
@@ -38,7 +72,7 @@ def f_odd_norlund(m):
     expr = {}
     for n in range(m + 1):
         ell = 2 * m - 2 * n + 1
-        coeff = -Fraction((-1) ** n, factorial(2 * n)) * d_norlund(2 * m + 1, n)
+        coeff = -Fraction((-1) ** n, factorial(2 * n)) * d_norlund_recursion(2 * m + 1, n)
         expr = add(expr, shift_pi(scale(coeff, eta_expr(ell)), -ell))
     return expr
 
@@ -60,7 +94,7 @@ def d_norlund_series_oracle(m: int, n_max: int) -> list[Fraction]:
     Builds t / sin t by inverting the Taylor series of sin(t)/t over exact
     rationals, raises it to the m-th power by repeated truncated
     multiplication, and reads off coefficients.  Deliberately shares no
-    code with :func:`d_norlund`.
+    code with either Norlund construction.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -117,7 +151,7 @@ def verify_central_norlund_identity(
             rhs = (
                 Fraction(4) ** (n - m)
                 * comb(2 * m, 2 * n)
-                * d_norlund(upper, m - n)
+                * d_norlund_recursion(upper, m - n)
             )
             out.append(IdentityCheck(m, n, lhs, rhs))
     return out

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -427,6 +428,22 @@ def test_tables_d_norlund(capsys):
     assert "-2555/33" in out and "62451523/91" in out
     lines = [line for line in out.strip().splitlines() if line.strip()]
     assert len(lines) == 6  # header + 5 rows
+
+
+# SHA-256 of `tables --d-norlund 40 40` in each format, pinned from the
+# output of the Bernoulli composition recursion
+D_NORLUND_40_SHA256 = {
+    "plain": "97aefd2ada63e8d7c4ff1c25fe8f82715c8d148f03a65a6598c281adf75707c9",
+    "latex": "4447286fa29a392844e8265f086a91b45dd1c62f6aa364f51008194b5898bc70",
+    "csv": "f5348e62c43e7e8556d27fd60937f4af3dc84227bf5495d1dbebcf651747e637",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(D_NORLUND_40_SHA256))
+def test_tables_d_norlund_40_bytes_are_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "tables", "--d-norlund", "40", "40", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == D_NORLUND_40_SHA256[fmt]
 
 
 def test_tables_f(capsys):

@@ -1,10 +1,13 @@
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from gjmsdet import norlund
+from gjmsdet.central_factorials import _central_poly
 from gjmsdet.norlund import d_norlund
-from norlund_oracle import d_norlund_series_oracle
+from norlund_oracle import d_norlund_recursion, d_norlund_series_oracle
 
 # Reference grid for m = 1..5, n = 0..6.  The (4, 2) entry is printed as
 # 88/5 in the source table, but the recursion, the series oracle, and the
@@ -51,6 +54,44 @@ def test_recursion_matches_series_oracle():
         oracle = d_norlund_series_oracle(m, 12)
         for n in range(13):
             assert d_norlund(m, n) == oracle[n], (m, n)
+
+
+def test_rows_match_recursion_oracle():
+    # production reads the central factorial rows; the oracle is the
+    # Bernoulli composition recursion
+    for m in range(1, 61):
+        for n in range(61):
+            assert d_norlund(m, n) == d_norlund_recursion(m, n), (m, n)
+    assert d_norlund(10**6, 3) == d_norlund_recursion(10**6, 3)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_cold_large_n_needs_no_deep_stack():
+    # n = 150 costs one Newton table, not a recursion 150 calls deep
+    d_norlund.cache_clear()
+    norlund._newton.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        value = d_norlund(3, 150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == d_norlund_series_oracle(3, 150)[150]
+
+
+def test_large_m_reads_no_row_past_3n_plus_1(monkeypatch):
+    read = []
+    monkeypatch.setattr(norlund, "_central_poly", lambda m: read.append(m) or _central_poly(m))
+    d_norlund.cache_clear()
+    norlund._newton.cache_clear()
+    assert d_norlund(1000, 3) == d_norlund_recursion(1000, 3)
+    assert read == [7, 8, 9, 10]
 
 
 def test_sign_alternation():
