@@ -48,12 +48,8 @@ def _central_poly(n: int) -> tuple[int, ...]:
 def central_t(n: int, k: int) -> Fraction:
     """Coefficient t(n, k) of x^k in x^[n]; 0 outside 1 <= k <= n or when
     n - k is odd."""
-    _require_int("n", n)
-    _require_int("k", k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _require_int("n", n, 1)
+    _require_int("k", k, 0)
     if k > n or (n - k) % 2:
         return Fraction(0)
     return Fraction(_central_poly(n)[k // 2], 4 ** (n // 2))

@@ -20,12 +20,13 @@ import mpmath as mp
 from . import quadrature
 from .central_factorials import central_t
 from .closed_form import (
+    _DIGITS_FLOOR,
     PrecisionContext,
     evaluate,
     f_expr,
     logdet_gjms,
 )
-from .errors import Float64RangeError, InvalidDimensionError
+from .errors import Float64RangeError, validate_d
 from .norlund import d_norlund
 from .product_rules import logdet_via_product  # noqa: F401  (a hook site the benchmark tracer patches)
 from .product_rules import product_rule, product_step
@@ -34,7 +35,7 @@ from .quadrature import (
     logdet_factor_quadrature,
     logdet_quadrature_result,
 )
-from .zexpr import ZetaExpr
+from .zexpr import ZetaExpr, _any_digits
 
 DIGITS_ENV = "GJMSDET_DIGITS"
 DEFAULT_SHOWN_DIGITS = 10
@@ -51,7 +52,7 @@ def _precision() -> PrecisionContext:
     try:
         return PrecisionContext(decimal_digits=int(raw))
     except ValueError:  # not an integer, or below the floor
-        raise ValueError(f"{DIGITS_ENV} must be an integer >= 15, got {raw!r}") from None
+        raise ValueError(f"{DIGITS_ENV} must be an integer >= {_DIGITS_FLOOR}, got {raw!r}") from None
 
 
 def _require(flag: str, value, least) -> None:
@@ -128,8 +129,7 @@ def _cmd_rule(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    if args.d_max < 3 or args.d_max % 2 == 0:
-        raise InvalidDimensionError("--d-max must be an odd integer >= 3")
+    validate_d(args.d_max, "--d-max")
     if args.d_max > quadrature.D_MAX_FLOAT64:
         # fail before the rows below it, which take hours near the limit
         raise Float64RangeError(
@@ -197,8 +197,7 @@ def _cmd_sweep(args) -> int:
     # a defaulted end is the axis bound, so only an end the user gave can fail
     if args.fixed_d is not None:
         d = args.fixed_d
-        if d < 3 or d % 2 == 0:
-            raise InvalidDimensionError(f"--fixed-d must be an odd integer >= 3, got {d}")
+        validate_d(d, "--fixed-d")
         top = (d - 1) // 2
         k_min = 1 if args.k_min is None else args.k_min
         k_max = top if args.k_max is None else args.k_max
@@ -340,6 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER: argparse.ArgumentParser | None = None
+# exact coefficients pass Python's int-to-str digit limit (from d = 1667 at
+# k = 1); a command runs with it lifted (argv was parsed under it)
+_run = _any_digits(lambda args: args.func(args))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -357,13 +359,8 @@ def main(argv: list[str] | None = None) -> int:
         args, extra = sub.parse_known_args(argv[1:])
         if extra:  # reported by the top-level parser, as its parse_args does
             _PARSER.error("unrecognized arguments: %s" % " ".join(extra))
-    # exact coefficients pass Python's int-to-str digit limit (from d = 1667
-    # at k = 1); lift it for the output only (argv was parsed under it)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args)
+        code = _run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except ValueError as exc:  # every library error is a ValueError
@@ -374,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
         # so the interpreter's final flush stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

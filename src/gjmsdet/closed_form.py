@@ -28,7 +28,7 @@ from mpmath import libmp
 from mpmath.libmp.gammazeta import borwein_coefficients
 
 from .central_factorials import _central_poly
-from .errors import _require_int, validate_d_k
+from .errors import _require_int, _require_type, validate_d_k
 from .norlund import d_norlund  # noqa: F401  (a hook site the benchmark tracer patches)
 from .zexpr import LOG2, ONE, ZetaExpr, _term
 
@@ -41,6 +41,8 @@ __all__ = [
     "zeta_odd",
     "evaluate",
 ]
+
+_DIGITS_FLOOR = 15  # the least working precision, in decimal digits
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,7 @@ class PrecisionContext:
     _prec: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_int("decimal_digits", self.decimal_digits)
-        if self.decimal_digits < 15:
-            raise ValueError("decimal_digits must be >= 15")
+        _require_int("decimal_digits", self.decimal_digits, _DIGITS_FLOOR)
         object.__setattr__(self, "_prec", libmp.dps_to_prec(self.decimal_digits + 10))
 
 
@@ -70,9 +70,7 @@ def f_even(m: int) -> Fraction:
     D^(2m)_{2m} = 4^m B^(2m)_{2m}(m) = 4^m int_m^{m+1} (t-1)(t-2)...(t-2m) dt.
     The product is x^[2m+1] / x at x = t - m - 1/2; over |x| <= 1/2 the row
     4^m x^[2m+1] integrates to sum_{n=0}^{m} row[n] / ((2n+1) 4^n)."""
-    _require_int("m", m)
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _require_int("m", m, 0)
     row = _central_poly(2 * m + 1)
     total = sum(Fraction(c, (2 * n + 1) << 2 * n) for n, c in enumerate(row))
     return Fraction((-1) ** m, 2 * factorial(2 * m)) * total
@@ -116,16 +114,14 @@ def f_odd(m: int) -> ZetaExpr:
 
     eta(1) = -log 2 and eta(s) = (2^{1-s} - 1) zeta(s) for s > 1.
     """
-    _require_int("m", m)
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _require_int("m", m, 0)
     den, nums = _pi_f_odd_sum(m, [1])
     return ZetaExpr(-1, den, (0, *nums))
 
 
 def f_expr(m: int) -> ZetaExpr:
     """f_m for either parity, as a ZetaExpr (even m gives a pure constant)."""
-    _require_int("m", m)
+    _require_int("m", m, 0)
     if m % 2 == 0:
         q = f_even(m // 2)
         return ZetaExpr(0, q.denominator, (q.numerator,))
@@ -171,7 +167,8 @@ def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
     """
     _require_int("s", s)
     if s < 3 or s % 2 == 0:
-        raise ValueError("s must be an odd integer >= 3")
+        raise ValueError(f"s must be an odd integer >= 3, got {s}")
+    _require_type("ctx", ctx, PrecisionContext)
     prec, rnd, wp = ctx._prec, libmp.round_nearest, ctx._prec + 20
     if s >= wp:  # 2^-s vanishes
         return mp.make_mpf(libmp.mpf_perturb(libmp.fone, 0, prec, rnd))
@@ -250,6 +247,8 @@ def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.m
     final division, after the basis values.  The value is kept on the
     record per working precision and returned from there while it matches.
     """
+    _require_type("expr", expr, ZetaExpr)
+    _require_type("ctx", ctx, PrecisionContext)
     digits = ctx.decimal_digits
     memo = expr._value
     if memo is not None and memo[0] == digits:

@@ -1,4 +1,4 @@
-"""Error types shared across the library, and the d and (d, k) checks."""
+"""Error types, and the argument checks: each names the argument and its value."""
 
 
 class InvalidDimensionError(ValueError):
@@ -13,25 +13,35 @@ class Float64RangeError(ValueError):
     """The input is valid, but its quadrature value is out of float64 range."""
 
 
-def _require_int(name: str, n, error: type[ValueError] = ValueError) -> None:
-    """Reject n unless it is an int; a bool is not one."""
-    if not isinstance(n, int) or isinstance(n, bool):
+def _is_int(value) -> bool:  # a bool is not an int here
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(name: str, n, least=None, error=ValueError) -> None:
+    """Reject n unless it is an int and, when least is given, n >= least."""
+    if not _is_int(n):
         raise error(f"{name} must be an integer, got {n!r}")
+    if least is not None and n < least:
+        raise error(f"{name} must be >= {least}, got {n}")
 
 
-def validate_d(d: int) -> None:
-    """Reject d unless it is an odd int and d >= 3."""
-    _require_int("d", d, InvalidDimensionError)
+def _require_type(name: str, value, cls: type) -> None:
+    """Reject value unless it is a cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
+def validate_d(d: int, name: str = "d") -> None:
+    """Reject d unless it is an odd int and d >= 3; the message calls it name."""
+    _require_int(name, d, error=InvalidDimensionError)
     if d < 3 or d % 2 == 0:
-        raise InvalidDimensionError(f"d must be an odd integer >= 3, got {d}")
+        raise InvalidDimensionError(f"{name} must be an odd integer >= 3, got {d}")
 
 
 def validate_d_k(d: int, k: int) -> None:
     """Reject (d, k) unless they are ints, d is odd, d >= 3 and 1 <= k <= d/2."""
     validate_d(d)
-    _require_int("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_int("k", k, 1)
     if 2 * k > d:
         raise DivergentDeterminantError(
             f"determinant diverges for 2k > d (d={d}, k={k})"

@@ -20,9 +20,7 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n as an exact Fraction, convention B_1 = -1/2, by the
     defining recursion sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1), memoized up to
     the largest index requested.  Public only: no package module calls it."""
-    _require_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_int("n", n, 0)
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
         acc = sum(

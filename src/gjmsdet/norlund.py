@@ -40,12 +40,8 @@ def _newton(n: int) -> tuple[tuple[int, ...], int]:
 def d_norlund(m: int, n: int) -> Fraction:
     """D^(m)_{2n} by the Newton sum sum_{i=0}^{n} C(m-2n-1, i) Delta^i over
     _newton(n); the generalised binomial C(h, i) is an integer for h < 0 too."""
-    _require_int("m", m)
-    _require_int("n", n)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_int("m", m, 1)
+    _require_int("n", n, 0)
     diffs, den = _newton(n)
     h, c, acc = m - 2 * n - 1, 1, 0
     for i, delta in enumerate(diffs):

@@ -32,9 +32,7 @@ def rule_exponents(k: int) -> list[int]:
     anti-diagonals.  These are the Chebyshev split: with U_{2k-1}(x) =
     x (u_0 + u_1 x^2 + ... + u_{k-1} x^{2k-2}), v_j = (-1)^{k-1+j} u_j / 2^{2j+1}.
     """
-    _require_int("k", k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_int("k", k, 1)
     return [comb(k + j, k - 1 - j) for j in range(k)]
 
 

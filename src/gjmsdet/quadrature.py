@@ -32,6 +32,7 @@ from .errors import (
     DivergentDeterminantError,
     Float64RangeError,
     _require_int,
+    _require_type,
     validate_d,
     validate_d_k,
 )
@@ -237,7 +238,9 @@ def logdet_quadrature_result(
 ) -> QuadResult:
     """logdet P_2k(d) by quadrature, with error estimate and eval count."""
     validate_d_k(d, k)
-    return _sphere(d, cfg or QuadratureConfig())[k - 1]
+    cfg = QuadratureConfig() if cfg is None else cfg  # only None is the default
+    _require_type("cfg", cfg, QuadratureConfig)
+    return _sphere(d, cfg)[k - 1]
 
 
 def logdet_quadrature(d: int, k: int, cfg: QuadratureConfig | None = None) -> float:
@@ -250,11 +253,11 @@ def logdet_factor_quadrature(
 ) -> float:
     """Numeric log det(B^2 - alpha_j^2) on the d-sphere, alpha_j = j + 1/2."""
     validate_d(d)
-    _require_int("j", j)
-    if j < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
+    _require_int("j", j, 0)
     if 2 * (j + 1) > d:
         raise DivergentDeterminantError(
             f"factor integral diverges for 2(j+1) > d (d={d}, j={j})"
         )
-    return _sphere(d, cfg or QuadratureConfig())[(d - 1) // 2 + j].value
+    cfg = QuadratureConfig() if cfg is None else cfg
+    _require_type("cfg", cfg, QuadratureConfig)
+    return _sphere(d, cfg)[(d - 1) // 2 + j].value

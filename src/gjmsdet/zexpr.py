@@ -20,6 +20,8 @@ from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Union
 
+from .errors import _is_int, _require_int
+
 __all__ = ["Atom", "ONE", "LOG2", "ZetaExpr"]
 
 # an atom is the string "one", the string "log2", or an odd integer s >= 3
@@ -28,10 +30,6 @@ Atom = Union[str, int]
 
 ONE: Atom = "one"
 LOG2: Atom = "log2"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _slot(atom: Atom, pi_pow: int) -> tuple[int, int]:
@@ -52,8 +50,7 @@ def _term(n: int, pi_pow: int) -> tuple[Atom, int]:
 
 def _exact(pi_pow, coeff) -> Fraction:
     """coeff as a Fraction, once pi_pow is an int and coeff an int or Fraction."""
-    if not _is_int(pi_pow):
-        raise ValueError(f"pi power must be an integer, got {pi_pow!r}")
+    _require_int("pi power", pi_pow)
     if not (_is_int(coeff) or isinstance(coeff, Fraction)):
         raise ValueError(f"coefficient must be exact, got {coeff!r}")
     return Fraction(coeff)
