@@ -28,7 +28,7 @@ from mpmath import libmp
 from mpmath.libmp.gammazeta import borwein_coefficients
 
 from .central_factorials import _central_poly
-from .errors import _require_int, _require_type, validate_d_k
+from .errors import _cached_after, _require_int, _require_type, validate_d_k
 from .norlund import d_norlund  # noqa: F401  (a hook site the benchmark tracer patches)
 from .zexpr import LOG2, ONE, ZetaExpr, _term
 
@@ -103,9 +103,7 @@ def _pi_f_odd_sum(top: int, weights: list[int]) -> tuple[int, list[int]]:
     return abs(fact) << 4 * top, acc
 
 
-# typed, so a bool or float index misses the cache and is rejected, not
-# served an int's record
-@lru_cache(maxsize=None, typed=True)
+@_cached_after(lambda m: _require_int("m", m, 0))
 def f_odd(m: int) -> ZetaExpr:
     """f_{2m+1} as an exact expression over {log 2, zeta(odd)}.
 
@@ -114,7 +112,6 @@ def f_odd(m: int) -> ZetaExpr:
 
     eta(1) = -log 2 and eta(s) = (2^{1-s} - 1) zeta(s) for s > 1.
     """
-    _require_int("m", m, 0)
     den, nums = _pi_f_odd_sum(m, [1])
     return ZetaExpr(-1, den, (0, *nums))
 
@@ -130,17 +127,14 @@ def f_expr(m: int) -> ZetaExpr:
 
 # crosscheck reads each record once, and its product route reads the k = 1
 # record again in the same row; 1024 = quadrature.D_MAX_FLOAT64 + 1 also holds
-# every k = 1 record one logdet_via_product call reads, and all 465 pairs
-# d <= 61; typed, so a float d or k misses the cache and is rejected, not
-# served an int's record
-@lru_cache(maxsize=1024, typed=True)
+# every k = 1 record one logdet_via_product call reads, and all 465 pairs d <= 61
+@_cached_after(validate_d_k, maxsize=1024)
 def logdet_gjms(d: int, k: int) -> ZetaExpr:
     """Exact log det P_2k on the round unit d-sphere, d odd, 2k <= d.
 
     Every f in the formula has odd index d + 2j - 2k = 2(m0 + j) + 1, so the
     sum is one _pi_f_odd_sum of the vectors pi f_{2m+1}, m0 <= m <= m0 + k.
     """
-    validate_d_k(d, k)
     top = (d - 1) // 2
     # 4^k times the f-difference weights C(2k-1-j, j) (-1/4)^j, from m = top down
     weights = [0] * (k + 1)
@@ -155,7 +149,15 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
 
 # -- numeric evaluation ---------------------------------------------------
 
-@lru_cache(maxsize=None, typed=True)  # typed, as f_odd's
+def _zeta_odd_args(s: int, ctx: PrecisionContext = PrecisionContext()) -> None:
+    """zeta_odd's argument checks, run before its cache."""
+    _require_int("s", s)
+    if s < 3 or s % 2 == 0:
+        raise ValueError(f"s must be an odd integer >= 3, got {s}")
+    _require_type("ctx", ctx, PrecisionContext)
+
+
+@_cached_after(_zeta_odd_args)
 def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
     """zeta(s) for odd s >= 3 with relative error <= 10^-decimal_digits.
 
@@ -165,10 +167,6 @@ def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
     except in the Euler-product range (from about 65 digits), whose value
     carries wp bits, as mp.zeta's does.
     """
-    _require_int("s", s)
-    if s < 3 or s % 2 == 0:
-        raise ValueError(f"s must be an odd integer >= 3, got {s}")
-    _require_type("ctx", ctx, PrecisionContext)
     prec, rnd, wp = ctx._prec, libmp.round_nearest, ctx._prec + 20
     if s >= wp:  # 2^-s vanishes
         return mp.make_mpf(libmp.mpf_perturb(libmp.fone, 0, prec, rnd))

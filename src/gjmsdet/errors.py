@@ -1,5 +1,7 @@
 """Error types, and the argument checks: each names the argument and its value."""
 
+from functools import lru_cache, wraps
+
 
 class InvalidDimensionError(ValueError):
     """The sphere dimension is invalid (not an int, even, or too small)."""
@@ -29,6 +31,25 @@ def _require_type(name: str, value, cls: type) -> None:
     """Reject value unless it is a cls."""
     if not isinstance(value, cls):
         raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
+def _cached_after(check, maxsize=None):
+    """Decorate a function with an lru_cache that only sees arguments check
+    has passed, so a bad argument is rejected by name, never hashed.  The
+    result keeps the function's name, module and docstring (``__wrapped__``
+    is the uncached function) and the cache's cache_info and cache_clear."""
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def checked(*args, **kwargs):
+            check(*args, **kwargs)
+            return cached(*args, **kwargs)
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+
+    return decorate
 
 
 def validate_d(d: int, name: str = "d") -> None:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .central_factorials import _central_poly
-from .errors import _require_int
+from .errors import _cached_after, _require_int
 
 __all__ = ["d_norlund"]
 
@@ -34,14 +34,10 @@ def _newton(n: int) -> tuple[tuple[int, ...], int]:
     return tuple(diffs), den
 
 
-# typed, so a bool or float index misses the cache and is rejected, not
-# served an int's value
-@lru_cache(maxsize=None, typed=True)
+@_cached_after(lambda m, n: (_require_int("m", m, 1), _require_int("n", n, 0)))
 def d_norlund(m: int, n: int) -> Fraction:
     """D^(m)_{2n} by the Newton sum sum_{i=0}^{n} C(m-2n-1, i) Delta^i over
     _newton(n); the generalised binomial C(h, i) is an integer for h < 0 too."""
-    _require_int("m", m, 1)
-    _require_int("n", n, 0)
     diffs, den = _newton(n)
     h, c, acc = m - 2 * n - 1, 1, 0
     for i, delta in enumerate(diffs):

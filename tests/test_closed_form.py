@@ -26,6 +26,7 @@ from gjmsdet.closed_form import (
 )
 from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.exact import bernoulli
+from gjmsdet.norlund import d_norlund
 from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
 from norlund_oracle import d_norlund_recursion, logdet_paper_formula
 from sparse_terms import add, record, scale, shift_pi, sparse
@@ -567,3 +568,16 @@ def test_paneitz_magnitude_decreasing_in_dimension():
     assert all(a > b for a, b in zip(mags, mags[1:]))
     signs = [mp.sign(v) for v in values]
     assert all(a == -b for a, b in zip(signs, signs[1:]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: logdet_gjms([5], 1), "d must be an integer, got [5]"),
+    (lambda: f_odd([1]), "m must be an integer, got [1]"),
+    (lambda: d_norlund([3], 1), "m must be an integer, got [3]"),
+    (lambda: zeta_odd([3]), "s must be an integer, got [3]"),
+], ids=["logdet_gjms", "f_odd", "d_norlund", "zeta_odd"])
+def test_cached_functions_check_arguments_before_the_cache(call, message):
+    # a list cannot be hashed: the check must run before the cache sees it
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
