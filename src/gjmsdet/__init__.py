@@ -9,7 +9,6 @@ Three mutually cross-checking routes:
   {1, log 2, zeta(odd)/pi^even}.
 """
 
-from .central_factorials import central_t
 from .closed_form import (
     PrecisionContext,
     evaluate,
@@ -21,7 +20,7 @@ from .closed_form import (
 )
 from .errors import DivergentDeterminantError, Float64RangeError, InvalidDimensionError
 from .exact import bernoulli
-from .norlund import d_norlund
+from .norlund import central_t, d_norlund
 from .product_rules import (
     ProductRule,
     logdet_via_product,

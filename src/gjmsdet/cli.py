@@ -2,7 +2,8 @@
 
 All numerical logic lives in the library modules; this module only parses
 arguments, dispatches and renders.  Exit codes: 0 success, 1 cross-check
-failure, 2 invalid input, 141 standard output closed early (a broken pipe).
+failure, 2 invalid input or a failed write to standard output, 141 standard
+output closed early (a broken pipe).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 import mpmath as mp
 
 from . import quadrature
-from .central_factorials import central_t
 from .closed_form import (
     _DIGITS_FLOOR,
     PrecisionContext,
@@ -27,7 +27,7 @@ from .closed_form import (
     logdet_gjms,
 )
 from .errors import Float64RangeError, validate_d
-from .norlund import d_norlund
+from .norlund import central_t, d_norlund
 from .product_rules import logdet_via_product  # noqa: F401  (a hook site the benchmark tracer patches)
 from .product_rules import product_rule, product_step
 from .quadrature import (
@@ -41,7 +41,7 @@ DIGITS_ENV = "GJMSDET_DIGITS"
 DEFAULT_SHOWN_DIGITS = 10
 # crosscheck's relative gate, next to the absolute --tol: log det shrinks
 # with d (|log det P_2(41)| = 5.7e-15), so an absolute gate alone passes any
-# skew below it; a correct run's worst relative deviation to d = 101 is 6.5e-15
+# skew below it; a correct run's worst relative deviation to d = 101 is 4.12e-15
 CROSSCHECK_REL_TOL = 1e-10
 
 
@@ -366,11 +366,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader left (e.g. `| head`); send the unflushed rest to devnull
-        # so the interpreter's final flush stays silent
+    except OSError as exc:  # a write to standard output failed
+        # send the unflushed rest to devnull so the interpreter's final flush
+        # stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):  # the reader left (e.g. `| head`)
+            return 141
+        print(f"error: standard output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

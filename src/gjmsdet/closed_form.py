@@ -27,9 +27,8 @@ import mpmath as mp
 from mpmath import libmp
 from mpmath.libmp.gammazeta import borwein_coefficients
 
-from .central_factorials import _central_poly
 from .errors import _cached_after, _require_int, _require_type, validate_d_k
-from .norlund import d_norlund  # noqa: F401  (a hook site the benchmark tracer patches)
+from .norlund import _central_poly, d_norlund  # noqa: F401  (d_norlund: a hook site the benchmark tracer patches)
 from .zexpr import LOG2, ONE, ZetaExpr, _term
 
 __all__ = [

@@ -1,9 +1,22 @@
-"""Norlund numbers D^(m)_{2n} = 2^{2n} B^(m)_{2n}(m/2), the coefficients of
+"""Central factorial rows and the Norlund numbers read off them.
+
+The central factorial polynomial is
+
+    x^[n] = x * prod_{i=1}^{n-1} (x + n/2 - i) = sum_k t(n, k) x^k,
+
+and its monomial coefficients t(n, k) are the central factorial
+coefficients of the first kind ("central differentials of nothing" are the
+rescaling D^k 0^[n] = k! * t(n, k)).  x^[n] has the parity of n, so the
+integer rows 4^(n//2) x^[n] keep only the coefficients of x^(n%2),
+x^(n%2+2), ..., x^n; central_t alone maps k to a slot.  Besides the
+readers here, closed_form's f_even and _pi_f_odd_sum read the rows.
+
+The Norlund numbers D^(m)_{2n} = 2^{2n} B^(m)_{2n}(m/2) are the coefficients of
 
     (t / sin t)^m = sum_{n >= 0} (-1)^n D^(m)_{2n} / (2n)! * t^{2n},
 
-read off the central factorial rows: D^(m)_{2n} = 4^n t(m, m-2n) / C(m-1, 2n)
-for m >= 2n+1, and for fixed n it is a polynomial of degree n in m, so its
+and the rows give them as D^(m)_{2n} = 4^n t(m, m-2n) / C(m-1, 2n) for
+m >= 2n+1.  For fixed n that is a polynomial of degree n in m, so its
 forward differences at m = 2n+1 .. 3n+1 give every m.  The composition
 recursion with the m = 1 series is the oracle in ``tests/norlund_oracle.py``.
 """
@@ -14,10 +27,35 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .central_factorials import _central_poly
 from .errors import _cached_after, _require_int
 
-__all__ = ["d_norlund"]
+__all__ = ["central_t", "d_norlund"]
+
+
+# rows 4^(n//2) x^[n], seeded with x^[0] = 1 and x^[1] = x; on them
+# x^[r+2] = x^[r] (x^2 - r^2/4) reads row[i] = 4 last[i-1] - r^2 last[i]
+_CENTRAL: tuple[list[tuple[int, ...]], ...] = ([(1,)], [(1,)])
+
+
+def _central_poly(n: int) -> tuple[int, ...]:
+    """Coefficients of x^(n%2), x^(n%2+2), ..., x^n in 4^(n//2) x^[n],
+    memoized up to the largest n."""
+    rows = _CENTRAL[n % 2]
+    while len(rows) <= n // 2:
+        last = rows[-1]
+        r2 = (2 * len(rows) - 2 + n % 2) ** 2  # last is 4^(r//2) x^[r]
+        rows.append(tuple(4 * a - r2 * b for a, b in zip((0, *last), (*last, 0))))
+    return rows[n // 2]
+
+
+def central_t(n: int, k: int) -> Fraction:
+    """Coefficient t(n, k) of x^k in x^[n]; 0 outside 1 <= k <= n or when
+    n - k is odd."""
+    _require_int("n", n, 1)
+    _require_int("k", k, 0)
+    if k > n or (n - k) % 2:
+        return Fraction(0)
+    return Fraction(_central_poly(n)[k // 2], 4 ** (n // 2))
 
 
 @lru_cache(maxsize=None)

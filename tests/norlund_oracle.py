@@ -21,9 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from gjmsdet.central_factorials import central_t
 from gjmsdet.errors import _require_int
 from gjmsdet.exact import bernoulli
+from gjmsdet.norlund import central_t
 from gjmsdet.zexpr import LOG2
 from sparse_terms import add, scale, shift_pi, term
 

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from gjmsdet import central_factorials
-from gjmsdet.central_factorials import _central_poly, central_t
+from gjmsdet import norlund
+from gjmsdet.norlund import _central_poly, central_t
 from gjmsdet.closed_form import f_odd
 from norlund_oracle import f_odd_norlund, verify_central_norlund_identity
 from sparse_terms import sparse
@@ -66,7 +66,7 @@ def test_central_t_validation():
 def test_central_t_indices_must_be_ints(monkeypatch):
     # cold (only the seed rows), then warm: a bool or float index must be
     # rejected, not read as an int's row or slot
-    monkeypatch.setattr(central_factorials, "_CENTRAL", ([(1,)], [(1,)]))
+    monkeypatch.setattr(norlund, "_CENTRAL", ([(1,)], [(1,)]))
     for warm in (False, True):
         if warm:
             central_t(1, 1), central_t(3, 1)

@@ -373,6 +373,22 @@ def test_closed_pipe_exits_141_without_traceback():
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_write_exits_2_without_traceback():
+    # a full device fails the write; that is exit 2, not 1 (a disagreement)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gjmsdet.cli", "logdet", "--d", "5", "--k", "2"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 def test_import_leaves_scipy_out():
     # scipy is a test-only dependency; importing it would cost every command
     src = Path(cli.__file__).resolve().parents[1]

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjmsdet import closed_form
-from gjmsdet.central_factorials import _central_poly
 from gjmsdet.closed_form import (
     PrecisionContext,
     _basis,
@@ -26,7 +25,7 @@ from gjmsdet.closed_form import (
 )
 from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.exact import bernoulli
-from gjmsdet.norlund import d_norlund
+from gjmsdet.norlund import _central_poly, d_norlund
 from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
 from norlund_oracle import d_norlund_recursion, logdet_paper_formula
 from sparse_terms import add, record, scale, shift_pi, sparse

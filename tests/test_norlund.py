@@ -5,8 +5,7 @@ import mpmath as mp
 import pytest
 
 from gjmsdet import norlund
-from gjmsdet.central_factorials import _central_poly
-from gjmsdet.norlund import d_norlund
+from gjmsdet.norlund import _central_poly, d_norlund
 from norlund_oracle import d_norlund_recursion, d_norlund_series_oracle
 
 # Reference grid for m = 1..5, n = 0..6.  The (4, 2) entry is printed as

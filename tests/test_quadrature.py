@@ -281,8 +281,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"abs_tol must be a number, got {bad!r}"):
             QuadratureConfig(abs_tol=bad)
     assert QuadratureConfig(abs_tol=1).abs_tol == 1
-    # the largest tolerances, where pi abs_tol overflows a double, truncate at
-    # the floor X = 40 and stop after the first pass, as 1e300 does
+    # at the largest tolerances, where pi abs_tol overflows a double, the d = 3
+    # grid stops after its first block (25 nodes, x <= 16) and one halving, as
+    # at 1e300: both take 50 evaluations to the same value
     huge = logdet_quadrature_result(3, 1, QuadratureConfig(abs_tol=1e308))
     loose = logdet_quadrature_result(3, 1, QuadratureConfig(abs_tol=1e300))
     assert (huge.value, huge.neval) == (loose.value, loose.neval)
