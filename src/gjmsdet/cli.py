@@ -282,8 +282,16 @@ def _cmd_tables(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        """Write the help and flush it; argparse's own drops a failed write."""
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gjmsdet",
         description="Log-determinants of GJMS operators on odd spheres",
     )
@@ -353,13 +361,13 @@ def main(argv: list[str] | None = None) -> int:
     # parser's subparsers action: the top-level parse would only hand it the
     # same arguments after a second pass of its own
     sub = _PARSER._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
-    if sub is None:  # -h, no command or an unknown one
-        args = _PARSER.parse_args(argv)
-    else:
-        args, extra = sub.parse_known_args(argv[1:])
-        if extra:  # reported by the top-level parser, as its parse_args does
-            _PARSER.error("unrecognized arguments: %s" % " ".join(extra))
-    try:
+    try:  # -h writes the help while parsing
+        if sub is None:  # -h, no command or an unknown one
+            args = _PARSER.parse_args(argv)
+        else:
+            args, extra = sub.parse_known_args(argv[1:])
+            if extra:  # reported by the top-level parser, as its parse_args does
+                _PARSER.error("unrecognized arguments: %s" % " ".join(extra))
         code = _run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

@@ -138,7 +138,7 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
     # 4^k times the f-difference weights C(2k-1-j, j) (-1/4)^j, from m = top down
     weights = [0] * (k + 1)
     for j in range(k):
-        c = comb(2 * k - 1 - j, j) * (-1) ** j * 4 ** (k - j)
+        c = (-1 if j % 2 else 1) * comb(2 * k - 1 - j, j) << 2 * (k - j)
         weights[k - j] += c
         weights[k - j - 1] -= c
     den, nums = _pi_f_odd_sum(top, weights)

@@ -37,7 +37,8 @@ def _cached_after(check, maxsize=None):
     """Decorate a function with an lru_cache that only sees arguments check
     has passed, so a bad argument is rejected by name, never hashed.  The
     result keeps the function's name, module and docstring (``__wrapped__``
-    is the uncached function) and the cache's cache_info and cache_clear."""
+    is the uncached function), the cache's cache_info and cache_clear, and
+    the cache as ``_lru``, for arguments valid by construction."""
     def decorate(fn):
         cached = lru_cache(maxsize=maxsize)(fn)
 
@@ -47,6 +48,7 @@ def _cached_after(check, maxsize=None):
             return cached(*args, **kwargs)
 
         checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        checked._lru = cached
         return checked
 
     return decorate

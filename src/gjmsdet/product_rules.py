@@ -16,6 +16,9 @@ from .closed_form import logdet_gjms
 from .errors import _require_int, validate_d_k
 from .zexpr import ZetaExpr
 
+# the closed form's own cache, bound at import: a tracer may rebind logdet_gjms here
+_logdet_lru = logdet_gjms._lru
+
 __all__ = [
     "ProductRule",
     "rule_exponents",
@@ -69,10 +72,11 @@ def product_rule(d: int, k: int) -> ProductRule:
 
 
 def logdet_via_product(d: int, k: int) -> ZetaExpr:
-    """Exact log det P_2k(d) summed from conformal-Laplacian factors."""
-    rule = product_rule(d, k)
+    """Exact log det P_2k(d) summed from conformal-Laplacian factors.  Once
+    (d, k) is valid, so is every (d - 2j, 1): read from the cache unchecked."""
+    validate_d_k(d, k)
     return ZetaExpr._weighted_sum(
-        (exp, logdet_gjms(dim, 1)) for dim, exp in rule.factors
+        (exp, _logdet_lru(d - 2 * j, 1)) for j, exp in enumerate(rule_exponents(k))
     )
 
 

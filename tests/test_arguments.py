@@ -17,10 +17,12 @@ from gjmsdet import (
     logdet_gjms,
     logdet_quadrature,
     logdet_quadrature_result,
+    logdet_via_product,
     rule_exponents,
     zeta_odd,
 )
 from gjmsdet.cli import main
+from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 
 
 @pytest.mark.parametrize("call, message", [
@@ -35,15 +37,31 @@ from gjmsdet.cli import main
     (lambda: bernoulli(-1), "n must be >= 0, got -1"),
     (lambda: rule_exponents(0), "k must be >= 1, got 0"),
     (lambda: logdet_gjms(5, 0), "k must be >= 1, got 0"),
+    (lambda: logdet_via_product(5, 0), "k must be >= 1, got 0"),
     (lambda: logdet_factor_quadrature(5, -1), "j must be >= 0, got -1"),
     (lambda: zeta_odd(4), "s must be an odd integer >= 3, got 4"),
 ], ids=["PrecisionContext", "f_even", "f_odd", "f_expr", "central_t-n", "central_t-k",
         "d_norlund-m", "d_norlund-n", "bernoulli", "rule_exponents", "validate_d_k-k",
-        "logdet_factor_quadrature-j", "zeta_odd-s"])
+        "logdet_via_product-k", "logdet_factor_quadrature-j", "zeta_odd-s"])
 def test_bounds_name_the_argument_and_value(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("d, k, error, message", [
+    (5, 3, DivergentDeterminantError, "determinant diverges for 2k > d (d=5, k=3)"),
+    (4, 1, InvalidDimensionError, "d must be an odd integer >= 3, got 4"),
+    ([5], 1, InvalidDimensionError, "d must be an integer, got [5]"),
+    (True, 1, InvalidDimensionError, "d must be an integer, got True"),
+    (5, True, ValueError, "k must be an integer, got True"),
+], ids=["diverges", "even-d", "list-d", "bool-d", "bool-k"])
+def test_product_route_checks_d_and_k_before_the_cache(d, k, error, message):
+    # its k = 1 reads skip the check, so (d, k) itself must be checked first
+    with pytest.raises(ValueError) as exc:
+        logdet_via_product(d, k)
+    assert type(exc.value) is error
     assert str(exc.value) == message
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -375,18 +376,22 @@ def test_closed_pipe_exits_141_without_traceback():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_failed_stdout_write_exits_2_without_traceback():
-    # a full device fails the write; that is exit 2, not 1 (a disagreement)
+    # a full device fails the write; that is exit 2, not 1 (a disagreement).
+    # argparse writes -h's help itself: buffered, its write fails at the
+    # interpreter's last flush; unbuffered, argparse drops the failure
     src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "gjmsdet.cli", "logdet", "--d", "5", "--k", "2"],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
-        )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    for argv in (["logdet", "--d", "5", "--k", "2"], ["-h"], ["logdet", "-h"]):
+        for unbuffered in ("", "1"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gjmsdet.cli", *argv],
+                    stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+                )
+            assert proc.returncode == 2, (argv, unbuffered, proc.stderr)
+            assert "Traceback" not in proc.stderr, proc.stderr
+            assert proc.stderr == f"error: standard output: {os.strerror(errno.ENOSPC)}\n", (
+                argv, unbuffered, proc.stderr)
 
 
 def test_import_leaves_scipy_out():

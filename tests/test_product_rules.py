@@ -105,6 +105,18 @@ def test_via_product_exact_small_case():
     assert logdet_via_product(3, 1) == logdet_gjms(3, 1)
 
 
+def test_via_product_shares_the_closed_form_cache():
+    # the k = 1 records come from logdet_gjms's one cache, not a copy
+    logdet_gjms.cache_clear()
+    first = logdet_via_product(41, 20)
+    info = logdet_gjms.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 20, 20)
+    second = logdet_via_product(41, 20)
+    info = logdet_gjms.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (20, 20, 20)
+    assert first == second == logdet_gjms(41, 20)
+
+
 def test_via_product_equals_closed_form_everywhere():
     for d in range(3, 22, 2):
         for k in range(1, (d - 1) // 2 + 1):
