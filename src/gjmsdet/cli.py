@@ -20,6 +20,7 @@ import mpmath as mp
 
 from . import quadrature
 from .closed_form import (
+    _DEFAULT_CONTEXT,
     _DIGITS_FLOOR,
     PrecisionContext,
     evaluate,
@@ -48,7 +49,7 @@ CROSSCHECK_REL_TOL = 1e-10
 def _precision() -> PrecisionContext:
     raw = os.environ.get(DIGITS_ENV)
     if not raw:
-        return PrecisionContext()
+        return _DEFAULT_CONTEXT
     try:
         return PrecisionContext(decimal_digits=int(raw))
     except ValueError:  # not an integer, or below the floor

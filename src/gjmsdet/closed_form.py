@@ -64,6 +64,11 @@ class PrecisionContext:
         object.__setattr__(self, "_prec", libmp.dps_to_prec(self.decimal_digits + 10))
 
 
+# the default working precision, built once: every default argument and the
+# CLI without GJMSDET_DIGITS read this one object
+_DEFAULT_CONTEXT = PrecisionContext()
+
+
 def f_even(m: int) -> Fraction:
     """f_{2m} = (-1)^m / (2 (2m)!) * D^(2m)_{2m}, an exact rational, where
     D^(2m)_{2m} = 4^m B^(2m)_{2m}(m) = 4^m int_m^{m+1} (t-1)(t-2)...(t-2m) dt.
@@ -148,7 +153,7 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
 
 # -- numeric evaluation ---------------------------------------------------
 
-def _zeta_odd_args(s: int, ctx: PrecisionContext = PrecisionContext()) -> None:
+def _zeta_odd_args(s: int, ctx: PrecisionContext = _DEFAULT_CONTEXT) -> None:
     """zeta_odd's argument checks, run before its cache."""
     _require_int("s", s)
     if s < 3 or s % 2 == 0:
@@ -157,7 +162,7 @@ def _zeta_odd_args(s: int, ctx: PrecisionContext = PrecisionContext()) -> None:
 
 
 @_cached_after(_zeta_odd_args)
-def zeta_odd(s: int, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
+def zeta_odd(s: int, ctx: PrecisionContext = _DEFAULT_CONTEXT) -> mp.mpf:
     """zeta(s) for odd s >= 3 with relative error <= 10^-decimal_digits.
 
     The bits a fresh mp.zeta(s) gives at ctx's binary precision prec,
@@ -235,7 +240,7 @@ def _basis_value(n: int, pi_pow: int, ctx: PrecisionContext) -> tuple[int, int]:
     return libmp.mpf_mul(base, power, prec, rnd)[1:3]
 
 
-def evaluate(expr: ZetaExpr, ctx: PrecisionContext = PrecisionContext()) -> mp.mpf:
+def evaluate(expr: ZetaExpr, ctx: PrecisionContext = _DEFAULT_CONTEXT) -> mp.mpf:
     """Numeric value of an exact expression at the context's precision.
 
     With the aligned basis values b_n = ints[n] 2^e, the sum of

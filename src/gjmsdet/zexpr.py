@@ -64,9 +64,10 @@ def _any_digits(convert):
     """convert, run with Python's int/str digit limit lifted for the call.
 
     Exact coefficients pass the default limit of 4,300 digits (from d = 1667
-    at k = 1).  One lift per rendered or parsed record, not one per slot; the
-    limit is process-wide, so other threads see it lifted meanwhile.  A limit
-    already lifted (as by the CLI), or absent, is left alone.
+    at k = 1).  One lift per record whose digits are written or parsed, not
+    one per slot; the limit is process-wide, so other threads see it lifted
+    meanwhile.  A limit already lifted (as by the CLI), or absent, is left
+    alone.
     """
 
     @wraps(convert)
@@ -124,7 +125,7 @@ class ZetaExpr:
     nums: tuple
     # (decimal digits, value), set by closed_form.evaluate
     _value: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # the nonzero slots (n, num, den) in lowest terms, set by _reduced
+    # per nonzero slot: atom text, sign, reduced |num| and den digits; see _reduced
     _lowest: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -175,25 +176,36 @@ class ZetaExpr:
 
     # -- inspection ---------------------------------------------------
 
-    def _reduced(self) -> Iterator[tuple[int, int, int]]:
-        """Nonzero slots (n, num, den), num/den in lowest terms, in slot order;
-        reduced once per record and kept for every renderer and :meth:`terms`."""
+    def _reduced(self) -> Iterator[tuple[tuple[str, str, str], str, str, str]]:
+        """Nonzero slots in slot order as (atom text, sign, num digits, den
+        digits): the slot's shared _atom_text triple, "-" or "", and the
+        decimal digits of |num| and den, num/den in lowest terms.  Written
+        once per record, by its first render, and read by every renderer."""
         lowest = self._lowest
         if lowest is None:
-            den, flat = self.den, []
-            for n, c in enumerate(self.nums):
-                if c:
-                    g = gcd(c, den)
-                    flat += (n, c // g, den // g)
-            lowest = tuple(flat)
-            object.__setattr__(self, "_lowest", lowest)
-        triples = iter(lowest)
-        return zip(triples, triples, triples)
+            lowest = self._write_digits()
+        slots = iter(lowest)
+        return zip(slots, slots, slots, slots)
+
+    @_any_digits
+    def _write_digits(self) -> tuple:
+        """Fill the memo _reduced reads; the one step that converts ints to text."""
+        den, flat = self.den, []
+        for n, c in enumerate(self.nums):
+            if c:
+                g = gcd(c, den)
+                flat += (_atom_text(n, self.pi_pow), "-" if c < 0 else "",
+                         str(abs(c) // g), str(den // g))
+        lowest = tuple(flat)
+        object.__setattr__(self, "_lowest", lowest)
+        return lowest
 
     def terms(self) -> list[tuple[Atom, int, Fraction]]:
         """Nonzero terms (atom, own pi power, coeff) in the canonical order
-        1, log 2, zeta(3), zeta(5), ..., which is slot order."""
-        return [(*_term(n, self.pi_pow), Fraction(c, q)) for n, c, q in self._reduced()]
+        1, log 2, zeta(3), zeta(5), ..., which is slot order; each coeff is
+        reduced from the record's fields, not read from the rendering memo."""
+        den = self.den
+        return [(*_term(n, self.pi_pow), Fraction(c, den)) for n, c in enumerate(self.nums) if c]
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -226,26 +238,22 @@ class ZetaExpr:
 
     # -- rendering ----------------------------------------------------
 
-    @_any_digits
     def __str__(self) -> str:
         parts = []
-        for n, num, den in self._reduced():
-            atom = _atom_text(n, self.pi_pow)[0]
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        for (atom, _, _), sign, num, den in self._reduced():
+            mag = num if den == "1" else f"{num}/{den}"
             piece = atom if mag == "1" and atom else f"{mag}*{atom}" if atom else mag
-            parts += (" - " if num < 0 else " + ", piece)
+            parts += (" - " if sign else " + ", piece)
         out = "".join(parts)
         return "0" if not out else out[3:] if out[1] == "+" else "-" + out[3:]
 
-    @_any_digits
     def to_latex(self) -> str:
         """LaTeX rendering, zeta terms written as fractions over pi powers."""
         parts = []
-        for n, num, den in self._reduced():
-            atom = _atom_text(n, self.pi_pow)[1]
-            cs = str(abs(num)) if den == 1 else rf"\frac{{{abs(num)}}}{{{den}}}"
+        for (_, atom, _), sign, num, den in self._reduced():
+            cs = num if den == "1" else rf"\frac{{{num}}}{{{den}}}"
             piece = cs if not atom else atom if cs == "1" else rf"{cs}\,{atom}"
-            parts += ("-" if num < 0 else "+", piece)
+            parts += (sign or "+", piece)
         out = "".join(parts)
         return "0" if not out else out[1:] if out[0] == "+" else out
 
@@ -253,10 +261,9 @@ class ZetaExpr:
         """The terms as fresh JSON objects, parsed from :meth:`to_json`."""
         return json.loads(self.to_json())
 
-    @_any_digits
     def to_json(self) -> str:
         """Deterministic JSON, written as ``json.dumps`` with separators ``,`` and ``:``."""
-        terms = [f'{_atom_text(n, self.pi_pow)[2]}{num}/{den}"}}' for n, num, den in self._reduced()]
+        terms = [f'{text[2]}{sign}{num}/{den}"}}' for text, sign, num, den in self._reduced()]
         return "[" + ",".join(terms) + "]"
 
     @classmethod

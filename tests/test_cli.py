@@ -566,6 +566,17 @@ def test_precision_env_override(capsys, monkeypatch):
     assert "0.1046421441058079165" in out
 
 
+@pytest.mark.parametrize("raw", [None, ""])
+def test_precision_without_the_variable_is_the_one_default_context(monkeypatch, raw):
+    # unset or empty, no context is built per command: the library's default
+    if raw is None:
+        monkeypatch.delenv("GJMSDET_DIGITS", raising=False)
+    else:
+        monkeypatch.setenv("GJMSDET_DIGITS", raw)
+    assert cli._precision() is closed_form._DEFAULT_CONTEXT
+    assert closed_form._DEFAULT_CONTEXT == closed_form.PrecisionContext()
+
+
 def test_digits_past_working_precision_name_both_settings(capsys, monkeypatch):
     # digits past the working precision would be printed unchecked
     code, _, err = run(capsys, "logdet", "--d", "5", "--k", "2", "--digits", "90")

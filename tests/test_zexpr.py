@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import render_oracle
+from gjmsdet import zexpr
 from gjmsdet.closed_form import f_expr, logdet_gjms
 from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
 from sparse_terms import add, dense, record, scale, shift_pi, sparse, term
@@ -283,9 +284,21 @@ def test_canonical_form_matches_plain_gcd_reduction(den, nums, odd, t):
     assert e.pi_pow == (3 if e.nums else 0)
 
 
-def test_renderers_and_from_json_pass_the_int_str_digit_limit():
+_FIRST_CALLS = {
+    "terms": ZetaExpr.terms,
+    "str": str,
+    "to_latex": ZetaExpr.to_latex,
+    "to_json": ZetaExpr.to_json,
+    "repr": repr,
+}
+
+
+@pytest.mark.parametrize("first", sorted(_FIRST_CALLS))
+def test_renderers_and_from_json_pass_the_int_str_digit_limit(first):
     # a 5,001-digit numerator passes Python's default 4,300-digit int/str
-    # limit; every renderer and from_json lift it for the call only
+    # limit; every renderer and from_json lift it for the call only, and
+    # whichever call reaches the fresh record first fills its digits under
+    # the lift
     e = ZetaExpr(0, 3, (10**5000 + 1,))
     digits = "1" + "0" * 4999 + "1"
     get_limit = getattr(sys, "get_int_max_str_digits", None)
@@ -293,6 +306,10 @@ def test_renderers_and_from_json_pass_the_int_str_digit_limit():
     if get_limit:
         sys.set_int_max_str_digits(4300)
     try:
+        _FIRST_CALLS[first](e)
+        if get_limit:
+            assert get_limit() == 4300
+        assert e.terms() == [(ONE, 0, Fraction(10**5000 + 1, 3))]
         text = e.to_json()
         assert text == f'[{{"atom":"one","pi_pow":0,"coeff":"{digits}/3"}}]'
         assert str(e) == f"{digits}/3"
@@ -306,6 +323,21 @@ def test_renderers_and_from_json_pass_the_int_str_digit_limit():
     finally:
         if get_limit:
             sys.set_int_max_str_digits(before)
+
+
+def test_digits_are_written_once_per_record(monkeypatch):
+    # a second render reads the record's memo: no atom text lookup, no gcd
+    # and no int to str conversion
+    e = logdet_gjms(61, 30)
+    first = (str(e), e.to_latex(), e.to_json())
+
+    def forbidden(*args):
+        raise AssertionError("a warm render reduced or looked up a slot again")
+
+    monkeypatch.setattr(zexpr, "_atom_text", forbidden)
+    monkeypatch.setattr(zexpr, "gcd", forbidden)
+    again = (str(e), e.to_latex(), e.to_json())
+    assert again == first == (render_oracle.plain(e), render_oracle.latex(e), render_oracle.json_text(e))
 
 
 def test_log2_rejects_inexact_coefficients():
