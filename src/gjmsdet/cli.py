@@ -77,7 +77,7 @@ def _display_precision(digits: int) -> PrecisionContext:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if out_path is not None:  # an empty path fails to open like any other
         try:
             with open(out_path, "w") as fh:
                 fh.write(text)
@@ -284,11 +284,70 @@ def _cmd_tables(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    # what _parse_plain reads of this parser's tables, as action objects:
+    # built on its first call, once the parser is complete, and never changed
+    _plain_plan = None
+
     def print_help(self, file=None):
         """Write the help and flush it; argparse's own drops a failed write."""
         file = file or sys.stdout
         file.write(self.format_help())
         file.flush()
+
+    def _parse_plain(self, argv: list[str]) -> argparse.Namespace | None:
+        """The namespace ``parse_known_args(argv)`` builds, or None to leave
+        ``argv`` to it.
+
+        Taken only for whole ``--flag value`` pairs, each flag an exact option
+        string of a single-value store action given once, each value not
+        starting with '-', converting by the action's type and among its
+        choices, with every required action and group satisfied: an argv that
+        argparse parses with no extras, no error and no output.
+        """
+        plan = self._plain_plan
+        if plan is None:
+            plan = self._plain_plan = (
+                tuple(a for a in self._actions if a.dest is not argparse.SUPPRESS),
+                # actions a plain argv must give: the required ones, and those
+                # it cannot default (a positional, or a string default that
+                # argparse converts by the action's type)
+                frozenset(a for a in self._actions if a.required or not a.option_strings
+                          or isinstance(a.default, str) and a.type is not None),
+                tuple((g.required, tuple(g._group_actions)) for g in self._mutually_exclusive_groups),
+            )
+        dests, required, groups = plan
+        if len(argv) % 2:
+            return None
+        options = self._option_string_actions
+        given = {}
+        for i in range(0, len(argv), 2):
+            action, raw = options.get(argv[i]), argv[i + 1]
+            if (type(action) is not argparse._StoreAction or action.nargs is not None
+                    or action in given or raw.startswith("-")):
+                return None
+            try:
+                given[action] = value = self._get_value(action, raw)
+                self._check_value(action, value)
+            except argparse.ArgumentError:
+                return None
+        if not given.keys() >= required:
+            return None
+        for group_required, members in groups:
+            # argparse counts a member given its default value as absent
+            present = sum(a in given and given[a] is not a.default for a in members)
+            if present > 1 or group_required and not present:
+                return None
+        # defaults in argparse's order: each action's, then the parser's
+        namespace = argparse.Namespace()
+        values = vars(namespace)
+        for a in dests:
+            if a.default is not argparse.SUPPRESS:
+                values.setdefault(a.dest, a.default)
+        for dest, default in self._defaults.items():
+            values.setdefault(dest, default)
+        for a, value in given.items():
+            values[a.dest] = value
+        return namespace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,12 +419,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a named command parses with its own parser, taken from the top-level
     # parser's subparsers action: the top-level parse would only hand it the
-    # same arguments after a second pass of its own
+    # same arguments after a second pass of its own.  Plain `--flag value`
+    # pairs are read from that parser's action table (_parse_plain); any
+    # other argv (abbreviations, --flag=value, -h, nargs=2, errors) goes
+    # through argparse, which alone writes usage, help and error text
     sub = _PARSER._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
     try:  # -h writes the help while parsing
         if sub is None:  # -h, no command or an unknown one
             args = _PARSER.parse_args(argv)
-        else:
+        elif (args := sub._parse_plain(argv[1:])) is None:
             args, extra = sub.parse_known_args(argv[1:])
             if extra:  # reported by the top-level parser, as its parse_args does
                 _PARSER.error("unrecognized arguments: %s" % " ".join(extra))

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gjmsdet import cli, closed_form, product_rules, quadrature
 from gjmsdet.closed_form import evaluate, logdet_gjms
@@ -135,6 +137,17 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: --out: "), (argv, err)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--fixed-k", "1", "--d-max", "9", "--out", ""],
+    ["tables", "--f", "3", "--out", ""],
+])
+def test_empty_out_path_fails_like_any_unopenable_path(capsys, argv):
+    # an empty --out is a path that cannot be opened, not "no --out"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --out: ") and err.count("\n") == 1, err
 
 
 def test_logdet_prints_coefficients_past_int_str_limit(capsys, monkeypatch):
@@ -658,6 +671,9 @@ def run_to_exit(capsys, call, argv):
     "sweep --fixed-d 5 --fixed-k 1".split(),
     "tables --d-norlund 3".split(),
     "rule --k 1 --format json".split(),
+    "quad --d 5 --k 2 --tol -1e-9".split(),
+    "logdet --d 5 --k 2 --format yaml".split(),
+    "logdet --d 5 --k".split(),
 ])
 def test_subcommand_dispatch_prints_what_the_full_parser_prints(capsys, argv):
     # main parses a named command with that command's parser alone; every
@@ -674,6 +690,131 @@ def test_subcommand_dispatch_parses_valid_argvs_as_the_full_parser(capsys):
     assert run_to_exit(capsys, main, argv) == full
     assert run_to_exit(capsys, main, "logdet --d 5 --k 2 --format json".split()) == full
     assert full[0] == 0 and json.loads(full[1])["d"] == 5
+    # a repeated flag keeps its last value, as argparse does
+    for argv, last in (
+        ("logdet --d 7 --d 5 --k 2", "logdet --d 5 --k 2"),
+        ("sweep --fixed-k 1 --fixed-k 2 --d-max 9", "sweep --fixed-k 2 --d-max 9"),
+    ):
+        args = cli.build_parser().parse_args(argv.split())
+        full = run_to_exit(capsys, args.func, args)
+        assert run_to_exit(capsys, main, argv.split()) == full
+        assert run_to_exit(capsys, main, last.split()) == full
+        assert full[0] == 0 and full[1]
+    # a negative value parses; the command's own check rejects it
+    argv = "logdet --d -5 --k 2".split()
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ValueError) as exc:
+        args.func(args)
+    assert run_to_exit(capsys, main, argv) == (2, "", f"error: {exc.value}\n")
+
+
+SUBPARSERS = cli.build_parser()._subparsers._group_actions[0].choices
+
+
+def namespace_fields(ns):
+    # names, types and reprs: two nan values are the same parse but not equal
+    return [(name, type(value), repr(value)) for name, value in vars(ns).items()]
+
+
+def argvs(sub):
+    """Argvs for one subcommand: its option strings and their prefixes,
+    --flag=value forms, and values of every kind the flags meet; one shape
+    gives each option taking a value at most once, mostly with a value its
+    type converts."""
+    options = sorted(sub._option_string_actions)
+    prefixes = sorted({o[:i] for o in options for i in range(1, len(o))} - set(options))
+    choices = sorted({c for a in sub._actions if a.choices for c in a.choices})
+    values = st.one_of(
+        st.sampled_from(["", "x", "yaml", "csv", "3", "07", " 9", "1_1", "5.0", "1e-9", "-1e-9",
+                         "-5", "nan", "inf", "-", "--", "-h", *choices]),
+        st.integers(-20, 80).map(str),
+        st.text(max_size=3),
+    )
+    flags = st.sampled_from(options) | st.sampled_from(prefixes) | st.builds(
+        "{}={}".format, st.sampled_from(options), values)
+
+    def pair(option):
+        action = sub._option_string_actions[option]
+        if action.choices:
+            typed = st.sampled_from(sorted(action.choices))
+        elif action.type in (int, float):
+            typed = st.integers(0, 80).map(str)
+        else:
+            typed = st.text(max_size=3)
+        return st.tuples(st.just(option), st.one_of(typed, typed, values))
+
+    takes_values = [o for o in options if sub._option_string_actions[o].nargs != 0]
+    pairs = st.permutations(takes_values).flatmap(
+        lambda order: st.tuples(*(st.just(()) | pair(o) for o in order))
+    ).map(lambda ps: [token for p in ps for token in p])
+    return pairs | st.lists(flags | values, max_size=8)
+
+
+@pytest.mark.parametrize("command", sorted(SUBPARSERS))
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_plain_parse_is_the_namespace_argparse_builds(command, data):
+    # wherever the plain parse takes an argv, argparse takes it too, with
+    # no extras and no output, and builds the same namespace
+    sub = SUBPARSERS[command]
+    argv = data.draw(argvs(sub))
+    given_argv = list(argv)
+    ns = sub._parse_plain(given_argv)
+    assert given_argv == argv
+    if ns is not None:
+        full, extra = sub.parse_known_args(argv)
+        assert extra == []
+        assert namespace_fields(ns) == namespace_fields(full)
+
+
+@pytest.mark.parametrize("argv, taken", [
+    ("logdet --d 5 --k 2", True),
+    ("logdet --k 2 --digits 20 --d 5 --format latex", True),
+    ("quad --d 5 --k 2 --tol nan", True),
+    ("sweep --fixed-k 1 --d-max 9 --out ''", True),
+    ("tables --central 7 --format csv", True),
+    ("rule --k 3", True),
+    ("logdet --d 5 --k", False),  # not whole pairs
+    ("logdet --d 5 --k 2 extra", False),
+    ("logdet --d 5 --k 2 -h 1", False),  # not a single-value store option
+    ("logdet --d 5 --kk 2", False),
+    ("logdet --d 5 --form json --k 2", False),  # abbreviation
+    ("logdet --d=5 --k 2 --format json", False),
+    ("tables --d-norlund 3 3", False),
+    ("logdet --d -5 --k 2", False),  # a value starting with '-'
+    ("logdet --d 7 --d 5 --k 2", False),  # repeated
+    ("logdet --d x --k 2", False),  # type conversion fails
+    ("logdet --d 5 --k 2 --format yaml", False),  # not among the choices
+    ("logdet --d 5", False),  # a required action missing
+    ("sweep --fixed-d 9 --fixed-k 1", False),  # two members of a group
+    ("sweep --d-max 9", False),  # none of a required group
+])
+def test_plain_parse_takes_only_whole_plain_pairs(argv, taken):
+    command, *rest = [token.strip("'") for token in argv.split()]
+    sub = SUBPARSERS[command]
+    ns = sub._parse_plain(rest)
+    assert (ns is not None) == taken
+    if taken:  # each call builds a fresh namespace
+        assert sub._parse_plain(rest) is not ns
+        assert namespace_fields(ns) == namespace_fields(sub.parse_known_args(rest)[0])
+
+
+def test_plain_parse_on_actions_no_subcommand_has():
+    parser = cli._Parser(prog="p")
+    parser.add_argument("--n", type=int, default="7")  # converted when not given
+    parser.add_argument("--tag", action="append")  # one value, but not a store
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--m", type=int, default=5)
+    group.add_argument("--q", type=int)
+    assert parser._parse_plain(["--m", "1"]) is None  # left to argparse to convert
+    ns = parser._parse_plain(["--m", "1", "--n", "3"])
+    assert (ns.n, ns.m, ns.q) == (3, 1, None)
+    assert namespace_fields(ns) == namespace_fields(parser.parse_known_args(["--m", "1", "--n", "3"])[0])
+    # a member given its default value (the same small int) counts as absent
+    assert parser._parse_plain(["--m", "5", "--n", "3"]) is None
+    argv = ["--m", "5", "--q", "2", "--n", "3"]
+    assert namespace_fields(parser._parse_plain(argv)) == namespace_fields(parser.parse_known_args(argv)[0])
+    assert parser._parse_plain(argv + ["--tag", "a"]) is None
 
 
 def test_parse_error_leaves_the_reused_parser_clean(capsys):
