@@ -27,7 +27,7 @@ from .closed_form import (
     f_expr,
     logdet_gjms,
 )
-from .errors import Float64RangeError, validate_d
+from .errors import validate_d
 from .norlund import central_t, d_norlund
 from .product_rules import logdet_via_product  # noqa: F401  (a hook site the benchmark tracer patches)
 from .product_rules import product_rule, product_step
@@ -36,7 +36,7 @@ from .quadrature import (
     logdet_factor_quadrature,
     logdet_quadrature_result,
 )
-from .zexpr import ZetaExpr, _any_digits
+from .zexpr import ONE, ZetaExpr, _any_digits
 
 DIGITS_ENV = "GJMSDET_DIGITS"
 DEFAULT_SHOWN_DIGITS = 10
@@ -131,12 +131,8 @@ def _cmd_rule(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     validate_d(args.d_max, "--d-max")
-    if args.d_max > quadrature.D_MAX_FLOAT64:
-        # fail before the rows below it, which take hours near the limit
-        raise Float64RangeError(
-            f"--d-max: quadrature works in float64 and needs d <= "
-            f"{quadrature.D_MAX_FLOAT64}, got d={args.d_max}"
-        )
+    # fail before the rows below it, which take hours near the limit
+    quadrature._require_float64(args.d_max, "--d-max: ")
     _require("--tol", args.tol, 0)
     ctx = _precision()
     cfg = QuadratureConfig()
@@ -248,7 +244,7 @@ def _cmd_tables(args) -> int:
             if args.format == "csv":
                 writer.writerow([m, *row])
             elif args.format == "latex":
-                cells = [ZetaExpr(0, q.denominator, (q.numerator,)).to_latex() for q in row]
+                cells = [ZetaExpr.from_terms([(ONE, 0, q)]).to_latex() for q in row]
                 out.write(f"$m={m}$ & " + " & ".join(f"${c}$" for c in cells) + r" \\" + "\n")
             else:
                 out.write(f"{m:>3} " + "".join(f"{str(q):>{width}}" for q in row) + "\n")
@@ -284,8 +280,8 @@ def _cmd_tables(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    # what _parse_plain reads of this parser's tables, as action objects:
-    # built on its first call, once the parser is complete, and never changed
+    # what _parse_plain reads of this parser's tables: built on its first
+    # call, once the parser is complete, and never changed
     _plain_plan = None
 
     def print_help(self, file=None):
@@ -296,7 +292,8 @@ class _Parser(argparse.ArgumentParser):
 
     def _parse_plain(self, argv: list[str]) -> argparse.Namespace | None:
         """The namespace ``parse_known_args(argv)`` builds, or None to leave
-        ``argv`` to it.
+        ``argv`` to argparse (main's parse also sets ``command``, read by no
+        command).
 
         Taken only for whole ``--flag value`` pairs, each flag an exact option
         string of a single-value store action given once, each value not
@@ -306,8 +303,15 @@ class _Parser(argparse.ArgumentParser):
         """
         plan = self._plain_plan
         if plan is None:
+            # the namespace argparse starts from: each action's default, then the parser's
+            defaults = {}
+            for a in self._actions:
+                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+                    defaults.setdefault(a.dest, a.default)
+            for dest, default in self._defaults.items():
+                defaults.setdefault(dest, default)
             plan = self._plain_plan = (
-                tuple(a for a in self._actions if a.dest is not argparse.SUPPRESS),
+                defaults,
                 # actions a plain argv must give: the required ones, and those
                 # it cannot default (a positional, or a string default that
                 # argparse converts by the action's type)
@@ -315,7 +319,7 @@ class _Parser(argparse.ArgumentParser):
                           or isinstance(a.default, str) and a.type is not None),
                 tuple((g.required, tuple(g._group_actions)) for g in self._mutually_exclusive_groups),
             )
-        dests, required, groups = plan
+        defaults, required, groups = plan
         if len(argv) % 2:
             return None
         options = self._option_string_actions
@@ -337,14 +341,9 @@ class _Parser(argparse.ArgumentParser):
             present = sum(a in given and given[a] is not a.default for a in members)
             if present > 1 or group_required and not present:
                 return None
-        # defaults in argparse's order: each action's, then the parser's
         namespace = argparse.Namespace()
         values = vars(namespace)
-        for a in dests:
-            if a.default is not argparse.SUPPRESS:
-                values.setdefault(a.dest, a.default)
-        for dest, default in self._defaults.items():
-            values.setdefault(dest, default)
+        values.update(defaults)
         for a, value in given.items():
             values[a.dest] = value
         return namespace
@@ -417,20 +416,13 @@ def main(argv: list[str] | None = None) -> int:
     if _PARSER is None:  # built on first use, then shared by every call
         _PARSER = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    # a named command parses with its own parser, taken from the top-level
-    # parser's subparsers action: the top-level parse would only hand it the
-    # same arguments after a second pass of its own.  Plain `--flag value`
-    # pairs are read from that parser's action table (_parse_plain); any
-    # other argv (abbreviations, --flag=value, -h, nargs=2, errors) goes
-    # through argparse, which alone writes usage, help and error text
+    # plain `--flag value` pairs are read from the named command's action
+    # table (_parse_plain); argparse parses any other argv, and alone writes
+    # usage, help and error text
     sub = _PARSER._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
     try:  # -h writes the help while parsing
-        if sub is None:  # -h, no command or an unknown one
+        if sub is None or (args := sub._parse_plain(argv[1:])) is None:
             args = _PARSER.parse_args(argv)
-        elif (args := sub._parse_plain(argv[1:])) is None:
-            args, extra = sub.parse_known_args(argv[1:])
-            if extra:  # reported by the top-level parser, as its parse_args does
-                _PARSER.error("unrecognized arguments: %s" % " ".join(extra))
         code = _run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

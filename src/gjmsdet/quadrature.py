@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,11 +76,12 @@ class QuadratureConfig:
         # would fail the range check below with a TypeError
         if isinstance(self.abs_tol, bool) or not isinstance(self.abs_tol, numbers.Real):
             raise ValueError(f"abs_tol must be a number, got {self.abs_tol!r}")
-        if not _ABS_TOL_FLOOR <= self.abs_tol < math.inf:  # also rejects nan
+        if not _ABS_TOL_FLOOR <= self.abs_tol <= sys.float_info.max:  # also rejects nan
             raise ValueError(
                 f"abs_tol must be finite and >= {_ABS_TOL_FLOOR} (the double-precision "
                 f"floor), got {self.abs_tol}"
             )
+        object.__setattr__(self, "abs_tol", float(self.abs_tol))  # a numpy operand
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,14 @@ def _sums(dims, ks, start: int, stops, stride: int, step: float) -> np.ndarray:
     return out
 
 
+def _require_float64(d: int, prefix: str = "") -> None:
+    """Reject d past D_MAX_FLOAT64; the message starts with prefix."""
+    if d > D_MAX_FLOAT64:
+        raise Float64RangeError(
+            f"{prefix}quadrature works in float64 and needs d <= {D_MAX_FLOAT64}, got d={d}"
+        )
+
+
 @lru_cache(maxsize=64)
 def _sphere(d: int, cfg: QuadratureConfig) -> tuple[QuadResult, ...]:
     """Every integral of the d-sphere by the trapezoidal rule on the nodes
@@ -147,10 +157,7 @@ def _sphere(d: int, cfg: QuadratureConfig) -> tuple[QuadResult, ...]:
     bound and a rounding term.
     Raises Float64RangeError past D_MAX_FLOAT64.
     """
-    if d > D_MAX_FLOAT64:
-        raise Float64RangeError(
-            f"quadrature works in float64 and needs d <= {D_MAX_FLOAT64}, got d={d}"
-        )
+    _require_float64(d)
     k = np.arange(1, (d + 1) // 2)
     # one column per integral, each the main integrand at (dims, ks): main k
     # on S^d, then factor j = k - 1 on S^(d-1) at k - 1/2

@@ -676,11 +676,29 @@ def run_to_exit(capsys, call, argv):
     "logdet --d 5 --k".split(),
 ])
 def test_subcommand_dispatch_prints_what_the_full_parser_prints(capsys, argv):
-    # main parses a named command with that command's parser alone; every
-    # usage and error line must still be the full parser's
+    # every argv the plain parse declines goes to the full parser, whose
+    # usage and error lines main prints unchanged
     full = run_to_exit(capsys, lambda a: cli.build_parser().parse_args(a), argv)
     assert run_to_exit(capsys, main, argv) == full
     assert full[0] in (0, 2) and (full[1] or full[2])
+
+
+@pytest.mark.parametrize("argv", [
+    "logdet --d 5 --k 2",
+    "quad --d 5 --k 2",
+    "rule --k 3",
+    "crosscheck --d-max 5",
+    "sweep --fixed-d 9",
+    "tables --central 7",
+])
+def test_unrecognized_argument_is_reported_by_the_top_level_parser(capsys, argv):
+    # a valid argv plus an unknown flag: the plain parse declines it, and
+    # argparse rejects it with the top-level usage, before any command runs
+    code, out, err = run_to_exit(capsys, main, argv.split() + ["--bogus", "1"])
+    lines = err.splitlines()
+    assert (code, out) == (2, "")
+    assert lines[0] == "usage: gjmsdet [-h] {logdet,quad,rule,crosscheck,sweep,tables} ..."
+    assert lines[-1] == "gjmsdet: error: unrecognized arguments: --bogus 1"
 
 
 def test_subcommand_dispatch_parses_valid_argvs_as_the_full_parser(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -281,6 +282,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"abs_tol must be a number, got {bad!r}"):
             QuadratureConfig(abs_tol=bad)
     assert QuadratureConfig(abs_tol=1).abs_tol == 1
+    # any Real is stored as the float the integrals compute with; one past the
+    # largest double is out of range, not an overflow later
+    cfg = QuadratureConfig(abs_tol=Fraction(1, 10**12))
+    assert logdet_quadrature(9, 3, cfg) == logdet_quadrature(9, 3, QuadratureConfig(abs_tol=1e-12))
+    assert type(cfg.abs_tol) is float and cfg == QuadratureConfig(abs_tol=1e-12)
+    for big in (10**400, Fraction(10**400, 3)):
+        with pytest.raises(ValueError, match="abs_tol must be finite and >= "):
+            QuadratureConfig(abs_tol=big)
     # at the largest tolerances, where pi abs_tol overflows a double, the d = 3
     # grid stops after its first block (25 nodes, x <= 16) and one halving, as
     # at 1e300: both take 50 evaluations to the same value
