@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
@@ -27,7 +26,7 @@ from .closed_form import (
     f_expr,
     logdet_gjms,
 )
-from .errors import validate_d
+from .errors import _require_int, _require_real, validate_d
 from .norlund import central_t, d_norlund
 from .product_rules import logdet_via_product  # noqa: F401  (a hook site the benchmark tracer patches)
 from .product_rules import product_rule, product_step
@@ -56,17 +55,12 @@ def _precision() -> PrecisionContext:
         raise ValueError(f"{DIGITS_ENV} must be an integer >= {_DIGITS_FLOOR}, got {raw!r}") from None
 
 
-def _require(flag: str, value, least) -> None:
-    if not least <= value < math.inf:  # also rejects nan
-        raise ValueError(f"{flag} must be finite and >= {least}, got {value}")
-
-
 def _display_precision(digits: int) -> PrecisionContext:
     """Working precision for a command that displays ``digits`` digits.
 
     Digits past the working precision would be printed unchecked.
     """
-    _require("--digits", digits, 1)
+    _require_int("--digits", digits, 1)
     ctx = _precision()
     if digits > ctx.decimal_digits:
         raise ValueError(
@@ -109,7 +103,7 @@ def _cmd_logdet(args) -> int:
 
 
 def _cmd_quad(args) -> int:
-    _require("--tol", args.tol, quadrature._ABS_TOL_FLOOR)
+    _require_real("--tol", args.tol, quadrature._ABS_TOL_FLOOR)
     res = logdet_quadrature_result(args.d, args.k, QuadratureConfig(abs_tol=args.tol))
     print(f"log det P_{2 * args.k}({args.d}) ~ {res.value!r}")
     print(f"  error estimate: {res.error:.3e}")
@@ -118,7 +112,7 @@ def _cmd_quad(args) -> int:
 
 
 def _cmd_rule(args) -> int:
-    _require("--k", args.k, 1)
+    _require_int("--k", args.k, 1)
     d = args.d if args.d is not None else 2 * args.k + 1
     rule = product_rule(d, args.k)
     abstract = args.d is None
@@ -133,7 +127,7 @@ def _cmd_crosscheck(args) -> int:
     validate_d(args.d_max, "--d-max")
     # fail before the rows below it, which take hours near the limit
     quadrature._require_float64(args.d_max, "--d-max: ")
-    _require("--tol", args.tol, 0)
+    _require_real("--tol", args.tol, 0)
     ctx = _precision()
     cfg = QuadratureConfig()
     header = f"{'d':>3} {'k':>3} {'closed_form':>18} {'quadrature':>18} {'product':>18} {'factor_sum':>18} {'max_dev':>10}"
@@ -199,14 +193,14 @@ def _cmd_sweep(args) -> int:
         k_min = 1 if args.k_min is None else args.k_min
         k_max = top if args.k_max is None else args.k_max
         for flag, k in (("--k-min", k_min), ("--k-max", k_max)):
-            _require(flag, k, 1)
+            _require_int(flag, k, 1)
             if k > top:
                 raise ValueError(f"{flag} must be <= (d-1)/2 = {top} with {fixed} {d}, got {k}")
-        _require("--k-max", k_max, k_min)
+        _require_int("--k-max", k_max, k_min)
         rows = [(d, k) for k in range(k_min, k_max + 1)]
     else:
         k = args.fixed_k
-        _require("--fixed-k", k, 1)
+        _require_int("--fixed-k", k, 1)
         if args.d_max is None:
             raise ValueError("--d-max is required with --fixed-k")
         d_min = 2 * k + 1 if args.d_min is None else args.d_min
@@ -227,13 +221,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    ctx = _precision()
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if args.d_norlund:
         m_max, k_max = args.d_norlund
-        _require("--d-norlund M_MAX", m_max, 1)
-        _require("--d-norlund K_MAX", k_max, 0)
+        _require_int("--d-norlund M_MAX", m_max, 1)
+        _require_int("--d-norlund K_MAX", k_max, 0)
         rows = [[d_norlund(m, k) for k in range(k_max + 1)] for m in range(1, m_max + 1)]
         if args.format == "csv":
             writer.writerow(["m"] + [f"k={k}" for k in range(k_max + 1)])
@@ -248,8 +241,9 @@ def _cmd_tables(args) -> int:
                 out.write(f"$m={m}$ & " + " & ".join(f"${c}$" for c in cells) + r" \\" + "\n")
             else:
                 out.write(f"{m:>3} " + "".join(f"{str(q):>{width}}" for q in row) + "\n")
-    elif args.f is not None:
-        _require("--f", args.f, 0)
+    elif args.f is not None:  # the only table that evaluates
+        ctx = _precision()
+        _require_int("--f", args.f, 0)
         if args.format == "csv":
             writer.writerow(["m", "exact", "value"])
         for m in range(args.f + 1):
@@ -261,7 +255,7 @@ def _cmd_tables(args) -> int:
                 rendered = e.to_latex() if args.format == "latex" else str(e)
                 out.write(f"f_{m} = {rendered} ~ {value}\n")
     else:
-        _require("--central", args.central, 1)
+        _require_int("--central", args.central, 1)
         if args.format == "latex":
             raise ValueError("--format latex does not apply with --central")
         if args.format == "csv":
@@ -280,8 +274,8 @@ def _cmd_tables(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    # what _parse_plain reads of this parser's tables: built on its first
-    # call, once the parser is complete, and never changed
+    # what _parse_plain reads of this parser's tables, or False if it takes
+    # no argv: built on its first call, once the parser is complete
     _plain_plan = None
 
     def print_help(self, file=None):
@@ -295,11 +289,13 @@ class _Parser(argparse.ArgumentParser):
         ``argv`` to argparse (main's parse also sets ``command``, read by no
         command).
 
-        Taken only for whole ``--flag value`` pairs, each flag an exact option
-        string of a single-value store action given once, each value not
-        starting with '-', converting by the action's type and among its
-        choices, with every required action and group satisfied: an argv that
-        argparse parses with no extras, no error and no output.
+        Taken only on a parser of ``-h`` and single-value store options, none
+        in a mutually exclusive group or with a string default its type
+        converts (not ``sweep`` or ``tables``), and only for whole ``--flag
+        value`` pairs, each flag an exact option string given once, each value
+        not starting with '-', converting by the action's type and among its
+        choices, with every required action given: an argv that argparse
+        parses with no extras, no error and no output.
         """
         plan = self._plain_plan
         if plan is None:
@@ -310,24 +306,19 @@ class _Parser(argparse.ArgumentParser):
                     defaults.setdefault(a.dest, a.default)
             for dest, default in self._defaults.items():
                 defaults.setdefault(dest, default)
-            plan = self._plain_plan = (
-                defaults,
-                # actions a plain argv must give: the required ones, and those
-                # it cannot default (a positional, or a string default that
-                # argparse converts by the action's type)
-                frozenset(a for a in self._actions if a.required or not a.option_strings
-                          or isinstance(a.default, str) and a.type is not None),
-                tuple((g.required, tuple(g._group_actions)) for g in self._mutually_exclusive_groups),
-            )
-        defaults, required, groups = plan
-        if len(argv) % 2:
+            actions = self._actions[1:] if self.add_help else self._actions  # argparse adds -h first
+            plain = not self._mutually_exclusive_groups and all(
+                type(a) is argparse._StoreAction and a.option_strings and a.nargs is None
+                and not (isinstance(a.default, str) and a.type is not None) for a in actions)
+            plan = self._plain_plan = plain and (defaults, frozenset(a for a in actions if a.required))
+        if not plan or len(argv) % 2:
             return None
+        defaults, required = plan
         options = self._option_string_actions
         given = {}
         for i in range(0, len(argv), 2):
             action, raw = options.get(argv[i]), argv[i + 1]
-            if (type(action) is not argparse._StoreAction or action.nargs is not None
-                    or action in given or raw.startswith("-")):
+            if type(action) is not argparse._StoreAction or action in given or raw.startswith("-"):
                 return None
             try:
                 given[action] = value = self._get_value(action, raw)
@@ -336,11 +327,6 @@ class _Parser(argparse.ArgumentParser):
                 return None
         if not given.keys() >= required:
             return None
-        for group_required, members in groups:
-            # argparse counts a member given its default value as absent
-            present = sum(a in given and given[a] is not a.default for a in members)
-            if present > 1 or group_required and not present:
-                return None
         namespace = argparse.Namespace()
         values = vars(namespace)
         values.update(defaults)
@@ -416,9 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     if _PARSER is None:  # built on first use, then shared by every call
         _PARSER = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    # plain `--flag value` pairs are read from the named command's action
-    # table (_parse_plain); argparse parses any other argv, and alone writes
-    # usage, help and error text
+    # plain `--flag value` pairs for logdet, quad, rule or crosscheck are read
+    # from its action table (_parse_plain); argparse parses any other argv (all
+    # of sweep's and tables') and alone writes usage, help and error text
     sub = _PARSER._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
     try:  # -h writes the help while parsing
         if sub is None or (args := sub._parse_plain(argv[1:])) is None:

@@ -1,5 +1,7 @@
 """Error types, and the argument checks: each names the argument and its value."""
 
+import numbers
+import sys
 from functools import lru_cache, wraps
 
 
@@ -25,6 +27,14 @@ def _require_int(name: str, n, least=None, error=ValueError) -> None:
         raise error(f"{name} must be an integer, got {n!r}")
     if least is not None and n < least:
         raise error(f"{name} must be >= {least}, got {n}")
+
+
+def _require_real(name: str, x, least) -> None:
+    """Reject x unless it is a real number (a bool is not), finite and >= least."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    if not least <= x <= sys.float_info.max:  # also rejects nan
+        raise ValueError(f"{name} must be finite and >= {least}, got {x}")
 
 
 def _require_type(name: str, value, cls: type) -> None:

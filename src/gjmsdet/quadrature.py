@@ -21,8 +21,6 @@ d-1 for the factors, and are integrated together (see _sphere).  The scale
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +30,7 @@ from .errors import (
     DivergentDeterminantError,
     Float64RangeError,
     _require_int,
+    _require_real,
     _require_type,
     validate_d,
     validate_d_k,
@@ -72,15 +71,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        # a bool is no tolerance (True would integrate at 1.0); a str or None
-        # would fail the range check below with a TypeError
-        if isinstance(self.abs_tol, bool) or not isinstance(self.abs_tol, numbers.Real):
-            raise ValueError(f"abs_tol must be a number, got {self.abs_tol!r}")
-        if not _ABS_TOL_FLOOR <= self.abs_tol <= sys.float_info.max:  # also rejects nan
-            raise ValueError(
-                f"abs_tol must be finite and >= {_ABS_TOL_FLOOR} (the double-precision "
-                f"floor), got {self.abs_tol}"
-            )
+        # a bool is no tolerance (True would integrate at 1.0)
+        _require_real("abs_tol", self.abs_tol, _ABS_TOL_FLOOR)
         object.__setattr__(self, "abs_tol", float(self.abs_tol))  # a numpy operand
 
 

@@ -139,6 +139,32 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_out_write_exits_2(capsys):
+    # the file opens, and its write fails: bad input (exit 2), as a failed open
+    code, out, err = run(capsys, "sweep", "--fixed-d", "5", "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == f"error: --out: {os.strerror(errno.ENOSPC)}: /dev/full\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="needs /proc")
+def test_out_to_a_closed_pipe_exits_141():
+    # --out names a pipe whose reader has left: a broken pipe, as on stdout
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gjmsdet.cli", "sweep", "--fixed-d", "5",
+             "--out", f"/proc/self/fd/{write_end}"],
+            pass_fds=(write_end,), capture_output=True, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (141, "", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--fixed-k", "1", "--d-max", "9", "--out", ""],
     ["tables", "--f", "3", "--out", ""],
@@ -606,6 +632,18 @@ def test_digits_past_working_precision_name_both_settings(capsys, monkeypatch):
     assert len(out100.splitlines()[1].split("~ 0.")[1]) >= 85
 
 
+def test_tables_that_evaluate_nothing_ignore_env_digits(capsys, monkeypatch):
+    # only --f evaluates, so only --f reads (and rejects) GJMSDET_DIGITS
+    argvs = (["tables", "--central", "3"], ["tables", "--d-norlund", "3", "3"])
+    monkeypatch.delenv("GJMSDET_DIGITS", raising=False)
+    unset = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setenv("GJMSDET_DIGITS", "abc")
+    assert [run(capsys, *argv) for argv in argvs] == unset
+    assert all(code == 0 and out for code, out, _ in unset)
+    assert run(capsys, "tables", "--f", "3") == (
+        2, "", "error: GJMSDET_DIGITS must be an integer >= 15, got 'abc'\n")
+
+
 def test_env_digits_below_floor_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("GJMSDET_DIGITS", "5")
     code, _, err = run(capsys, "logdet", "--d", "5", "--k", "2")
@@ -789,9 +827,11 @@ def test_plain_parse_is_the_namespace_argparse_builds(command, data):
     ("logdet --d 5 --k 2", True),
     ("logdet --k 2 --digits 20 --d 5 --format latex", True),
     ("quad --d 5 --k 2 --tol nan", True),
-    ("sweep --fixed-k 1 --d-max 9 --out ''", True),
-    ("tables --central 7 --format csv", True),
     ("rule --k 3", True),
+    ("crosscheck --d-max 41", True),
+    # a parser with a mutually exclusive group is left to argparse
+    ("sweep --fixed-k 1 --d-max 9 --out ''", False),
+    ("tables --central 7 --format csv", False),
     ("logdet --d 5 --k", False),  # not whole pairs
     ("logdet --d 5 --k 2 extra", False),
     ("logdet --d 5 --k 2 -h 1", False),  # not a single-value store option
@@ -818,21 +858,34 @@ def test_plain_parse_takes_only_whole_plain_pairs(argv, taken):
 
 
 def test_plain_parse_on_actions_no_subcommand_has():
-    parser = cli._Parser(prog="p")
-    parser.add_argument("--n", type=int, default="7")  # converted when not given
-    parser.add_argument("--tag", action="append")  # one value, but not a store
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=int, default=5)
-    group.add_argument("--q", type=int)
-    assert parser._parse_plain(["--m", "1"]) is None  # left to argparse to convert
-    ns = parser._parse_plain(["--m", "1", "--n", "3"])
-    assert (ns.n, ns.m, ns.q) == (3, 1, None)
-    assert namespace_fields(ns) == namespace_fields(parser.parse_known_args(["--m", "1", "--n", "3"])[0])
-    # a member given its default value (the same small int) counts as absent
-    assert parser._parse_plain(["--m", "5", "--n", "3"]) is None
-    argv = ["--m", "5", "--q", "2", "--n", "3"]
-    assert namespace_fields(parser._parse_plain(argv)) == namespace_fields(parser.parse_known_args(argv)[0])
-    assert parser._parse_plain(argv + ["--tag", "a"]) is None
+    def parser(add=None, **kwargs):
+        p = cli._Parser(prog="p", **kwargs)
+        p.add_argument("--n", type=int, default=3)
+        p.add_argument("--r", choices=("a", "b"), required=True)
+        p.add_argument("--s", default="x")  # a string default no type converts
+        p.set_defaults(func=len)
+        if add is not None:
+            add(p)
+        return p
+
+    # a group-free parser of store options only, with or without -h: taken
+    for plain in (parser(), parser(add_help=False)):
+        for argv in (["--r", "a"], ["--n", "4", "--r", "b", "--s", "y"]):
+            ns = plain._parse_plain(argv)
+            assert namespace_fields(ns) == namespace_fields(plain.parse_known_args(argv)[0])
+        assert plain._parse_plain(["--n", "4"]) is None  # the required --r missing
+    # a group, a non-store action, a typed string default or a positional:
+    # declined for every argv, also one that does not name it
+    for add, naming in (
+        (lambda p: p.add_mutually_exclusive_group().add_argument("--m", type=int), ["--m", "1"]),
+        (lambda p: p.add_argument("--tag", action="append"), ["--tag", "t"]),
+        (lambda p: p.add_argument("--m", type=int, default="7"), ["--m", "1"]),
+        (lambda p: p.add_argument("m", nargs="?", type=int), ["1"]),
+    ):
+        declined = parser(add)
+        for argv in (["--r", "a"], ["--n", "4", "--r", "b"], ["--r", "a", *naming]):
+            assert declined.parse_known_args(argv)[1] == []  # argparse takes it
+            assert declined._parse_plain(argv) is None
 
 
 def test_parse_error_leaves_the_reused_parser_clean(capsys):
