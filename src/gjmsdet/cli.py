@@ -29,7 +29,7 @@ from .closed_form import (
 from .errors import _require_int, _require_real, validate_d
 from .norlund import central_t, d_norlund
 from .product_rules import logdet_via_product  # noqa: F401  (a hook site the benchmark tracer patches)
-from .product_rules import product_rule, product_step
+from .product_rules import _step_sum, product_rule
 from .quadrature import (
     QuadratureConfig,
     logdet_factor_quadrature,
@@ -145,14 +145,19 @@ def _cmd_crosscheck(args) -> int:
             closed = float(evaluate(expr, ctx))
             quadv = logdet_quadrature_result(d, k, cfg).value
             # the product route by its recurrence in k, chained on its own
-            # records: one sum of at most three per row
-            prod_expr = product_step(d, below, column)
-            same = prod_expr == expr  # the exact routes must agree exactly
-            # an equal record is kept as the cached closed-form object, the
-            # same value without a second copy of its numerators
-            column.append(expr if same else prod_expr)
-            differ += not same
-            prod = closed if same else float(evaluate(prod_expr, ctx))
+            # records: one sum of at most three per row, compared with the
+            # closed form as integers; the exact routes must agree exactly
+            prod_sum = _step_sum(d, below, column)
+            if expr._equals_sum(*prod_sum):
+                # kept as the cached closed-form object, the same value
+                # without a record of its own
+                column.append(expr)
+                prod = closed
+            else:
+                differ += 1
+                prod_expr = ZetaExpr(*prod_sum)
+                column.append(prod_expr)
+                prod = float(evaluate(prod_expr, ctx))
             fsum += logdet_factor_quadrature(d, k - 1, cfg)
             vals = (closed, quadv, prod, fsum)
             dev = max(vals) - min(vals)

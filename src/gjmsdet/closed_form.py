@@ -240,13 +240,29 @@ def _basis_value(n: int, pi_pow: int, ctx: PrecisionContext) -> tuple[int, int]:
     return libmp.mpf_mul(base, power, prec, rnd)[1:3]
 
 
+def _round_quotient(total: int, den: int, e: int, prec: int) -> tuple:
+    """total / den * 2^e for den > 0, rounded to nearest at prec bits, as
+    the mpf tuple mpf_shift(mpf_div(from_int(total), from_int(den), prec,
+    round_nearest), e) gives, by mpf_div's own steps in plain integers: a
+    quotient of at least prec + 5 bits and a sticky bit for the remainder
+    round as the exact quotient does.  2^e goes into the exponent exactly;
+    a zero total gives fzero."""
+    mag = abs(total)
+    extra = max(prec - mag.bit_length() + den.bit_length() + 5, 5)
+    q, r = divmod(mag << extra, den)
+    q = q << 1 | (r != 0)
+    return libmp.normalize1(int(total < 0), q, e - extra - 1, q.bit_length(), prec,
+                            libmp.round_nearest)
+
+
 def evaluate(expr: ZetaExpr, ctx: PrecisionContext = _DEFAULT_CONTEXT) -> mp.mpf:
     """Numeric value of an exact expression at the context's precision.
 
     With the aligned basis values b_n = ints[n] 2^e, the sum of
     nums[n]/den b_n is 2^e / den times the integer dot product of nums and
-    ints.  That product is exact, so the value is rounded once, in the
-    final division, after the basis values.  The value is kept on the
+    ints.  That product is exact, so the value is rounded once, to nearest
+    at ctx's precision, in the final division (_round_quotient, in plain
+    integers), after the basis values.  The value is kept on the
     record per working precision and returned from there while it matches.
     """
     _require_type("expr", expr, ZetaExpr)
@@ -266,9 +282,6 @@ def evaluate(expr: ZetaExpr, ctx: PrecisionContext = _DEFAULT_CONTEXT) -> mp.mpf
             e = row[0] = low
         ints += [man << (exp - e) for man, exp in new]
     total = sum(map(mul, nums, ints))
-    # the one rounding, to nearest at ctx's precision; the shift by 2^e is exact
-    quotient = libmp.mpf_div(libmp.from_int(total), libmp.from_int(expr.den),
-                             ctx._prec, libmp.round_nearest)
-    value = mp.make_mpf(libmp.mpf_shift(quotient, e))
+    value = mp.make_mpf(_round_quotient(total, expr.den, e, ctx._prec))
     object.__setattr__(expr, "_value", (digits, value))
     return value

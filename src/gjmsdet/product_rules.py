@@ -88,13 +88,26 @@ def product_step(d: int, below: list[ZetaExpr], column: list[ZetaExpr]) -> ZetaE
     (2 cosh^2(x/2) - 1), and one cosh^2(x/2) lowers d by 2, so
     L(d, k+1) = L(d-2, k) + 2 L(d, k) - L(d, k-1), with L(d, 0) = 0.  The
     product rule is the solution seeded with the k = 1 column: each record
-    costs one sum of at most three records, not k.
+    costs one sum of at most three records, not k.  The record is the
+    canonical form of :func:`_step_sum`; the seed is the closed form's own.
     """
+    if not column:
+        validate_d_k(d, 1)
+        return logdet_gjms(d, 1)
+    return ZetaExpr(*_step_sum(d, below, column))
+
+
+def _step_sum(d: int, below: list[ZetaExpr], column: list[ZetaExpr]) -> tuple:
+    """product_step's record as the fields (pi_pow, den, nums) of its sum
+    before the canonical form (ZetaExpr._int_sum); the seed L(d, 1) as its
+    own fields.  crosscheck compares these with the closed form and builds
+    a record only for a row that differs."""
     k = len(column)
     validate_d_k(d, k + 1)
     if not k:
-        return logdet_gjms(d, 1)
+        seed = logdet_gjms(d, 1)
+        return seed.pi_pow, seed.den, seed.nums
     terms = [(1, below[k - 1]), (2, column[k - 1])]
     if k > 1:
         terms.append((-1, column[k - 2]))
-    return ZetaExpr._weighted_sum(terms)
+    return ZetaExpr._int_sum(terms)

@@ -16,8 +16,9 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce, wraps
+from itertools import repeat
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 from typing import Iterable, Iterator, Union
 
 from .errors import _is_int, _require_int
@@ -219,12 +220,18 @@ class ZetaExpr:
 
     @classmethod
     def _weighted_sum(cls, pairs: Iterable[tuple[int, "ZetaExpr"]]) -> "ZetaExpr":
-        """Sum of weight * expr over (int weight, expr) pairs, in integers
-        over the lcm of the operands' denominators.  Nonzero operands must
-        share one pi power."""
+        """Sum of weight * expr over (int weight, expr) pairs, as a record."""
+        return cls(*cls._int_sum(pairs))
+
+    @staticmethod
+    def _int_sum(pairs: Iterable[tuple[int, "ZetaExpr"]]) -> tuple[int, int, list[int]]:
+        """Sum of weight * expr over (int weight, expr) pairs as the fields
+        (pi_pow, den, nums) before the canonical form: integers over den, the
+        lcm of the operands' denominators, trailing zeros kept.  Nonzero
+        operands must share one pi power."""
         pairs = [(w, e) for w, e in pairs if w and e.nums]
         if not pairs:
-            return cls(0, 1, ())
+            return 0, 1, []
         pi_pow = pairs[0][1].pi_pow
         if any(e.pi_pow != pi_pow for _, e in pairs):
             raise ValueError("cannot add expressions with different powers of pi")
@@ -234,7 +241,19 @@ class ZetaExpr:
             w *= den // e.den
             for n, c in enumerate(e.nums):
                 acc[n] += w * c
-        return cls(pi_pow, den, acc)
+        return pi_pow, den, acc
+
+    def _equals_sum(self, pi_pow: int, den: int, nums) -> bool:
+        """Whether this record is the value of the fields (pi_pow, den, nums),
+        den > 0, before their canonical form.  A record in lowest terms has a
+        den that divides the den of any equal fields, so the test is nums ==
+        (den / self.den) * self.nums past trailing zeros: one product per
+        slot, no gcd."""
+        f, r = divmod(den, self.den)
+        mine = self.nums
+        size = len(mine)
+        return (not r and (not size or pi_pow == self.pi_pow) and not any(nums[size:])
+                and list(map(mul, mine, repeat(f))) == list(nums[:size]))
 
     # -- rendering ----------------------------------------------------
 

@@ -313,6 +313,21 @@ def test_crosscheck_relative_gate_catches_small_absolute_skew(capsys, monkeypatc
     assert summary.endswith("exceeds tolerance 1.00e-10")
 
 
+def bump_product_sums(step, only_d=None):
+    """cli._step_sum with 2^-64 log 2 added to every product-route sum, or
+    only to those of dimension only_d."""
+    bump = ZetaExpr.log2(Fraction(1, 2**64))
+
+    def sum_plus_bump(d, below, column):
+        fields = step(d, below, column)
+        if only_d is not None and d != only_d:
+            return fields
+        record = ZetaExpr(*fields) + bump
+        return record.pi_pow, record.den, record.nums
+
+    return sum_plus_bump
+
+
 def test_crosscheck_evaluates_product_only_when_it_differs(capsys, monkeypatch):
     calls = []
     evaluate = cli.evaluate
@@ -328,9 +343,7 @@ def test_crosscheck_evaluates_product_only_when_it_differs(capsys, monkeypatch):
     assert len(calls) == len(rows)  # the equal product reuses the closed form
 
     # 2^-64 log 2 is 2.2e-10 of |log det P_2(27)|: only the relative gate sees it
-    step = cli.product_step
-    bump = ZetaExpr.log2(Fraction(1, 2**64))
-    monkeypatch.setattr(cli, "product_step", lambda d, below, column: step(d, below, column) + bump)
+    monkeypatch.setattr(cli, "_step_sum", bump_product_sums(cli._step_sum))
     calls.clear()
     code, bumped, _ = run(capsys, "crosscheck", "--d-max", "27")
     assert code == 1
@@ -350,14 +363,14 @@ def test_crosscheck_builds_the_product_route_by_its_recurrence(capsys, monkeypat
     for module in (cli, product_rules):
         monkeypatch.setattr(module, "logdet_via_product", refused)
     sizes = []
-    weighted_sum = ZetaExpr._weighted_sum
+    int_sum = ZetaExpr._int_sum
 
-    def counted(cls, pairs):
+    def counted(pairs):
         pairs = list(pairs)
         sizes.append(len(pairs))
-        return weighted_sum(pairs)
+        return int_sum(pairs)
 
-    monkeypatch.setattr(ZetaExpr, "_weighted_sum", classmethod(counted))
+    monkeypatch.setattr(ZetaExpr, "_int_sum", staticmethod(counted))
     seeds = []  # the closed-form records the product route reads
     closed = product_rules.logdet_gjms
     monkeypatch.setattr(product_rules, "logdet_gjms", lambda d, k: seeds.append((d, k)) or closed(d, k))
@@ -371,12 +384,7 @@ def test_crosscheck_builds_the_product_route_by_its_recurrence(capsys, monkeypat
 def test_crosscheck_chains_the_product_route_on_its_own_records(capsys, monkeypatch):
     # a bump in the seed P_2(3) alone reaches the top row (d, (d-1)/2) of every
     # column, whose product rule has a factor P_2(3), and no other row
-    step = cli.product_step
-    bump = ZetaExpr.log2(Fraction(1, 2**64))
-    monkeypatch.setattr(
-        cli, "product_step",
-        lambda d, below, column: step(d, below, column) + bump if d == 3 else step(d, below, column),
-    )
+    monkeypatch.setattr(cli, "_step_sum", bump_product_sums(cli._step_sum, only_d=3))
     code, out, _ = run(capsys, "crosscheck", "--d-max", "11")
     assert code == 1
     assert out.splitlines()[-1].startswith("FAIL: product route differs from the closed form in 5 rows, ")
@@ -386,9 +394,7 @@ def test_crosscheck_fails_when_product_expression_differs(capsys, monkeypatch):
     # 2^-64 log 2 is far below both numeric gates at d <= 11, also where the
     # recurrence has compounded it; only the exact comparison of the product
     # route sees it
-    step = cli.product_step
-    bump = ZetaExpr.log2(Fraction(1, 2**64))
-    monkeypatch.setattr(cli, "product_step", lambda d, below, column: step(d, below, column) + bump)
+    monkeypatch.setattr(cli, "_step_sum", bump_product_sums(cli._step_sum))
     code, out, _ = run(capsys, "crosscheck", "--d-max", "11")
     assert code == 1
     rows = out.splitlines()[1:-1]
@@ -398,6 +404,40 @@ def test_crosscheck_fails_when_product_expression_differs(capsys, monkeypatch):
         "max deviation "
     )
     assert "exceeds" not in summary  # the numeric gates alone would pass
+
+
+def test_agreeing_crosscheck_builds_no_product_record(capsys, monkeypatch):
+    # the product route's sums are compared with the closed form as integers:
+    # with the closed-form records cached, an agreeing run builds no ZetaExpr
+    monkeypatch.delenv(cli.DIGITS_ENV, raising=False)
+    for d in range(3, 28, 2):
+        for k in range(1, (d - 1) // 2 + 1):
+            logdet_gjms(d, k)
+    built = []
+    canonical = ZetaExpr.__post_init__
+
+    def counted(self):
+        built.append(self)
+        canonical(self)
+
+    monkeypatch.setattr(ZetaExpr, "__post_init__", counted)
+    code, out, _ = run(capsys, "crosscheck", "--d-max", "27")
+    assert code == 0 and out.splitlines()[-1].startswith("OK:")
+    assert built == []
+
+
+def test_crosscheck_exact_columns_are_the_closed_form_value(capsys, monkeypatch):
+    # the closed_form and product columns come from the exact core alone and
+    # read the same on every platform; only the quadrature columns use libm
+    monkeypatch.delenv(cli.DIGITS_ENV, raising=False)
+    code, out, _ = run(capsys, "crosscheck", "--d-max", "41")
+    assert code == 0
+    rows = [row.split() for row in out.splitlines()[1:-1]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [
+        (d, k) for d in range(3, 42, 2) for k in range(1, (d - 1) // 2 + 1)]
+    for d, k, closed, _, prod, *_ in rows:
+        want = f"{float(evaluate(logdet_gjms(int(d), int(k)))):.12e}"
+        assert closed == want and prod == want, (d, k)
 
 
 def test_closed_pipe_exits_141_without_traceback():

@@ -5,6 +5,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 import mpmath as mp
+from mpmath import libmp
 from mpmath.libmp import gammazeta, round_nearest
 import pytest
 from hypothesis import given, settings
@@ -477,6 +478,44 @@ def test_basis_rows_grow_one_slot_at_a_time(monkeypatch):
         total = sum(c * man << (exp - e_min) for c, (man, exp) in zip(e.nums, basis))
         with mp.workdps(60):
             assert mp.ldexp(mp.fdiv(total, e.den), e_min)._mpf_ == value._mpf_, e
+
+
+def round_quotient_oracle(total, den, e, prec):
+    """libmp's own division of the two ints, shifted by e."""
+    quotient = libmp.mpf_div(libmp.from_int(total), libmp.from_int(den), prec, round_nearest)
+    return libmp.mpf_shift(quotient, e)
+
+
+def test_round_quotient_is_libmp_division_and_shift():
+    # evaluate's one rounding in plain integers gives libmp's tuple, types
+    # included, on seeded random operands of 1 to 3,000 bits, and on the
+    # cases a wrong sticky bit or guard width would round differently
+    rng = random.Random(33)
+    for digits in (15, 50, 300):
+        prec = PrecisionContext(digits)._prec
+        cases = []
+        for _ in range(1500):
+            den = rng.getrandbits(rng.choice((1, 2, 8, 64, 200, 1000, 3000))) or 1
+            total = rng.getrandbits(rng.choice((1, 2, 8, 64, 200, 1000, 3000)))
+            cases.append((rng.choice((1, -1)) * total, den))
+        for den in (1, 2, 3, 2**70, 3**50, rng.getrandbits(3000) | 1):
+            # zero; a 1-bit total; exact quotients of every size around prec
+            cases += [(0, den), (1, den), (-1, den)]
+            for bits in (1, prec - 1, prec, prec + 1, prec + 7, 3000):
+                q = rng.getrandbits(bits) | 1 << (bits - 1)
+                cases += [(q * den, den), (-q * den, den)]
+            # exact ties at the rounding bit, to even up and down: prec + 1 bits
+            # whose last is the half, over an even and an odd kept part
+            for kept in (1 << prec - 1, (1 << prec - 1) + 1, (1 << prec) - 1):
+                cases += [((2 * kept + 1) * den, den), (-(2 * kept + 1) * den << 40, den)]
+            # a hair off a tie: the remainder alone decides
+            half = ((1 << prec - 1) + 1) * 2 + 1
+            cases += [(half * den + 1, den), (half * den - 1, den)]
+        for total, den in cases:
+            e = rng.randrange(-5000, 5000)
+            got = closed_form._round_quotient(total, den, e, prec)
+            want = round_quotient_oracle(total, den, e, prec)
+            assert got == want and list(map(type, got)) == list(map(type, want)), (digits, total, den, e)
 
 
 def test_evaluate_rounds_as_context_fdiv_and_ldexp():

@@ -244,6 +244,29 @@ def test_weighted_sum_matches_fold(p, pairs, w, slots):
     assert ZetaExpr._weighted_sum([]).is_zero()
 
 
+@given(records, weighted_slots, st.integers(1, 10**30), st.integers(0, 3))
+def test_equals_sum_is_equality_with_the_record_built(e, pairs, s, pad):
+    # any unreduced fields (pi_pow, den > 0, nums), as a list or a tuple,
+    # compare with a record as the record they build does: e's own fields
+    # scaled and padded, an integer sum of records, and fields a hair off e's
+    pairs = [(weight, record(e.pi_pow, slots)) for weight, slots in pairs]
+    scaled = [s * c for c in e.nums]
+    cases = [
+        (e.pi_pow, s * e.den, scaled + [0] * pad),
+        ZetaExpr._int_sum(pairs),
+        ZetaExpr._int_sum([(s, e)] + pairs),
+        (e.pi_pow, s * e.den + 1, scaled),  # a den e's does not divide, mostly
+        (e.pi_pow, s * e.den, scaled[:-1] + [scaled[-1] + 1] if scaled else [1]),
+        (e.pi_pow, s * e.den, scaled + [0] * pad + [s]),  # one more nonzero slot
+        (e.pi_pow + 1, s * e.den, scaled),  # another power of pi, unless zero
+    ]
+    for pi_pow, den, nums in cases:
+        want = ZetaExpr(pi_pow, den, nums) == e
+        assert e._equals_sum(pi_pow, den, nums) == want
+        assert e._equals_sum(pi_pow, den, tuple(nums)) == want
+    assert ZetaExpr._weighted_sum(pairs) == ZetaExpr(*ZetaExpr._int_sum(pairs))
+
+
 @given(records, pi_pows, st.integers(-(10**30), 10**30).filter(bool),
        st.integers(0, 3), st.integers(-6, 6))
 def test_canonical_form_under_scaling(e, p, s, pad, w):
