@@ -146,9 +146,10 @@ def _cmd_crosscheck(args) -> int:
             quadv = logdet_quadrature_result(d, k, cfg).value
             # the product route by its recurrence in k, chained on its own
             # records: one sum of at most three per row, compared with the
-            # closed form as integers; the exact routes must agree exactly
-            prod_sum = _step_sum(d, below, column)
-            if expr._equals_sum(*prod_sum):
+            # closed form as integers; the exact routes must agree exactly.
+            # At k = 1 the rule is P_2(d)^1, so the column starts from the
+            # row's own record, with nothing to compare
+            if k == 1 or expr._equals_sum(*(prod_sum := _step_sum(below, column))):
                 # kept as the cached closed-form object, the same value
                 # without a record of its own
                 column.append(expr)
@@ -346,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Log-determinants of GJMS operators on odd spheres",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser._commands = sub.choices  # name -> subcommand parser, filled below; main reads it
 
     p = sub.add_parser("logdet", help="exact expression and numeric value")
     p.add_argument("--d", type=int, required=True, help="odd sphere dimension")
@@ -410,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     # plain `--flag value` pairs for logdet, quad, rule or crosscheck are read
     # from its action table (_parse_plain); argparse parses any other argv (all
     # of sweep's and tables') and alone writes usage, help and error text
-    sub = _PARSER._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    sub = _PARSER._commands.get(argv[0]) if argv else None
     try:  # -h writes the help while parsing
         if sub is None or (args := sub._parse_plain(argv[1:])) is None:
             args = _PARSER.parse_args(argv)

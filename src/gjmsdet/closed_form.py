@@ -129,8 +129,8 @@ def f_expr(m: int) -> ZetaExpr:
     return f_odd((m - 1) // 2)
 
 
-# crosscheck reads each record once, and its product route reads the k = 1
-# record again in the same row; 1024 = quadrature.D_MAX_FLOAT64 + 1 also holds
+# crosscheck reads each record once (its product route starts each column from
+# the row's k = 1 record); 1024 = quadrature.D_MAX_FLOAT64 + 1 also holds
 # every k = 1 record one logdet_via_product call reads, and all 465 pairs d <= 61
 @_cached_after(validate_d_k, maxsize=1024)
 def logdet_gjms(d: int, k: int) -> ZetaExpr:

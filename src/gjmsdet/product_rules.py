@@ -4,7 +4,8 @@ Expanding sinh(kx)/sinh(x/2) = U_{2k-1}(cosh(x/2)) in the determinant
 integral turns the order-2k determinant into a product of conformal
 Laplacian determinants over dimensions d, d-2, ..., d-2k+2, with binomial
 integer exponents.  :func:`logdet_via_product` sums one rule; a whole column
-of records follows from the k = 1 column by :func:`product_step`.
+of records follows from its k = 1 record, which the caller supplies, and the
+column below by the rule's three-term recurrence in k (``_step_sum``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "rule_exponents",
     "product_rule",
     "logdet_via_product",
-    "product_step",
 ]
 
 
@@ -80,33 +80,20 @@ def logdet_via_product(d: int, k: int) -> ZetaExpr:
     )
 
 
-def product_step(d: int, below: list[ZetaExpr], column: list[ZetaExpr]) -> ZetaExpr:
-    """The product route's next record of column d, L(d, k+1) for k = len(column).
+def _step_sum(below: list[ZetaExpr], column: list[ZetaExpr]) -> tuple:
+    """The product route's next record of column d, L(d, k+1) for k =
+    len(column) >= 1, as the fields (pi_pow, den, nums) of its sum before the
+    canonical form (ZetaExpr._int_sum).
 
     ``column`` holds L(d, 1..k) and ``below`` L(d-2, 1..) of the same route.
     In the determinant integral sinh((k+1)x) + sinh((k-1)x) = 2 sinh(kx)
     (2 cosh^2(x/2) - 1), and one cosh^2(x/2) lowers d by 2, so
     L(d, k+1) = L(d-2, k) + 2 L(d, k) - L(d, k-1), with L(d, 0) = 0.  The
-    product rule is the solution seeded with the k = 1 column: each record
-    costs one sum of at most three records, not k.  The record is the
-    canonical form of :func:`_step_sum`; the seed is the closed form's own.
+    product rule is the solution seeded with the k = 1 column, which the
+    caller passes in: each record costs one sum of at most three records,
+    not k.  The caller keeps (d, k+1) valid, 2k + 2 <= d.
     """
-    if not column:
-        validate_d_k(d, 1)
-        return logdet_gjms(d, 1)
-    return ZetaExpr(*_step_sum(d, below, column))
-
-
-def _step_sum(d: int, below: list[ZetaExpr], column: list[ZetaExpr]) -> tuple:
-    """product_step's record as the fields (pi_pow, den, nums) of its sum
-    before the canonical form (ZetaExpr._int_sum); the seed L(d, 1) as its
-    own fields.  crosscheck compares these with the closed form and builds
-    a record only for a row that differs."""
     k = len(column)
-    validate_d_k(d, k + 1)
-    if not k:
-        seed = logdet_gjms(d, 1)
-        return seed.pi_pow, seed.den, seed.nums
     terms = [(1, below[k - 1]), (2, column[k - 1])]
     if k > 1:
         terms.append((-1, column[k - 2]))

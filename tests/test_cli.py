@@ -315,12 +315,13 @@ def test_crosscheck_relative_gate_catches_small_absolute_skew(capsys, monkeypatc
 
 def bump_product_sums(step, only_d=None):
     """cli._step_sum with 2^-64 log 2 added to every product-route sum, or
-    only to those of dimension only_d."""
+    only to those of dimension only_d; below holds the (d-3)/2 records of
+    column d - 2."""
     bump = ZetaExpr.log2(Fraction(1, 2**64))
 
-    def sum_plus_bump(d, below, column):
-        fields = step(d, below, column)
-        if only_d is not None and d != only_d:
+    def sum_plus_bump(below, column):
+        fields = step(below, column)
+        if only_d is not None and 2 * len(below) + 3 != only_d:
             return fields
         record = ZetaExpr(*fields) + bump
         return record.pi_pow, record.den, record.nums
@@ -340,14 +341,14 @@ def test_crosscheck_evaluates_product_only_when_it_differs(capsys, monkeypatch):
     code, same, _ = run(capsys, "crosscheck", "--d-max", "27")
     assert code == 0
     rows = same.splitlines()[1:-1]
-    assert len(calls) == len(rows)  # the equal product reuses the closed form
+    assert len(calls) == len(rows) == 91  # the equal product reuses the closed form
 
     # 2^-64 log 2 is 2.2e-10 of |log det P_2(27)|: only the relative gate sees it
     monkeypatch.setattr(cli, "_step_sum", bump_product_sums(cli._step_sum))
     calls.clear()
     code, bumped, _ = run(capsys, "crosscheck", "--d-max", "27")
     assert code == 1
-    assert len(calls) == 2 * len(rows)
+    assert len(calls) == 91 + 78  # once more for each row with k >= 2
     bumped_rows = bumped.splitlines()[1:-1]
     assert [r.split()[4] for r in rows] != [r.split()[4] for r in bumped_rows]
     for row, bumped_row in zip(rows, bumped_rows):
@@ -371,23 +372,35 @@ def test_crosscheck_builds_the_product_route_by_its_recurrence(capsys, monkeypat
         return int_sum(pairs)
 
     monkeypatch.setattr(ZetaExpr, "_int_sum", staticmethod(counted))
-    seeds = []  # the closed-form records the product route reads
+    reads = []  # the product route reads no record through product_rules
     closed = product_rules.logdet_gjms
-    monkeypatch.setattr(product_rules, "logdet_gjms", lambda d, k: seeds.append((d, k)) or closed(d, k))
+    monkeypatch.setattr(product_rules, "logdet_gjms", lambda d, k: reads.append((d, k)) or closed(d, k))
+    seeds = {}  # each column's k = 1 product record, by dimension
+    step = cli._step_sum
+
+    def seen(below, column):
+        seeds[2 * len(below) + 3] = column[0]
+        return step(below, column)
+
+    monkeypatch.setattr(cli, "_step_sum", seen)
     code, out, _ = run(capsys, "crosscheck", "--d-max", "27")
     rows = out.splitlines()[1:-1]
     assert code == 0 and out.splitlines()[-1].startswith("OK:")
     assert 0 < len(sizes) <= len(rows) and max(sizes) <= 3
-    assert seeds == [(d, 1) for d in range(3, 28, 2)]
+    assert reads == []
+    # the seed is the row's own closed-form object, not a copy
+    assert sorted(seeds) == list(range(5, 28, 2))
+    assert all(seed is logdet_gjms(d, 1) for d, seed in seeds.items())
 
 
 def test_crosscheck_chains_the_product_route_on_its_own_records(capsys, monkeypatch):
-    # a bump in the seed P_2(3) alone reaches the top row (d, (d-1)/2) of every
-    # column, whose product rule has a factor P_2(3), and no other row
-    monkeypatch.setattr(cli, "_step_sum", bump_product_sums(cli._step_sum, only_d=3))
+    # a bump in the product record (5, 2) alone reaches the top row
+    # (d, (d-1)/2) of every later column, which the recurrence builds from the
+    # top row of the column below, and no other row
+    monkeypatch.setattr(cli, "_step_sum", bump_product_sums(cli._step_sum, only_d=5))
     code, out, _ = run(capsys, "crosscheck", "--d-max", "11")
     assert code == 1
-    assert out.splitlines()[-1].startswith("FAIL: product route differs from the closed form in 5 rows, ")
+    assert out.splitlines()[-1].startswith("FAIL: product route differs from the closed form in 4 rows, ")
 
 
 def test_crosscheck_fails_when_product_expression_differs(capsys, monkeypatch):
@@ -397,11 +410,10 @@ def test_crosscheck_fails_when_product_expression_differs(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_step_sum", bump_product_sums(cli._step_sum))
     code, out, _ = run(capsys, "crosscheck", "--d-max", "11")
     assert code == 1
-    rows = out.splitlines()[1:-1]
     summary = out.splitlines()[-1]
+    # every row with k >= 2: 15 rows less the five k = 1 seeds
     assert summary.startswith(
-        f"FAIL: product route differs from the closed form in {len(rows)} rows, "
-        "max deviation "
+        "FAIL: product route differs from the closed form in 10 rows, max deviation "
     )
     assert "exceeds" not in summary  # the numeric gates alone would pass
 
@@ -804,7 +816,7 @@ def test_subcommand_dispatch_parses_valid_argvs_as_the_full_parser(capsys):
     assert run_to_exit(capsys, main, argv) == (2, "", f"error: {exc.value}\n")
 
 
-SUBPARSERS = cli.build_parser()._subparsers._group_actions[0].choices
+SUBPARSERS = cli.build_parser()._commands
 
 
 def namespace_fields(ns):

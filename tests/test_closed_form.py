@@ -1,8 +1,10 @@
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from pathlib import Path
 
 import mpmath as mp
 from mpmath import libmp
@@ -28,6 +30,7 @@ from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.exact import bernoulli
 from gjmsdet.norlund import _central_poly, d_norlund
 from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
+import gamma_oracle
 from norlund_oracle import d_norlund_recursion, logdet_paper_formula
 from sparse_terms import add, record, scale, shift_pi, sparse
 from test_zexpr import coeffs, pi_pows
@@ -142,6 +145,20 @@ def test_logdet_matches_sum_of_scaled_vectors():
         pairs.append((d, rng.randrange(1, (d - 1) // 2 + 1)))
     for d, k in pairs:
         assert logdet_gjms(d, k) == logdet_scaled_vectors(d, k), (d, k)
+
+
+def test_logdet_is_the_gamma_integral_for_d_le_61():
+    # the Gamma integral's exact form, built from its own product Q_n and
+    # eta values with ZetaExpr.from_terms alone: no code shared with the
+    # Norlund rows, equal on all 465 pairs d <= 61
+    tree = ast.parse(Path(gamma_oracle.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    assert {m for m in imported if m.startswith("gjmsdet")} == {"gjmsdet.zexpr"}
+    pairs = [(d, k) for d in range(3, 62, 2) for k in range(1, (d - 1) // 2 + 1)]
+    assert len(pairs) == 465
+    for d, k in pairs:
+        assert gamma_oracle.logdet_gamma(d, k) == logdet_gjms(d, k), (d, k)
 
 
 def test_logdet_three_term_recurrence_in_k():

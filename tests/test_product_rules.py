@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from gjmsdet.closed_form import logdet_gjms
 from gjmsdet.errors import DivergentDeterminantError, InvalidDimensionError
 from gjmsdet.product_rules import (
+    _step_sum,
     logdet_via_product,
     product_rule,
-    product_step,
     rule_exponents,
 )
+from gjmsdet.zexpr import ZetaExpr
+from gamma_oracle import logdet_gamma
 from sparse_terms import add, dense, scale, sparse
 
 
@@ -135,27 +137,17 @@ def test_via_product_equals_closed_form_up_to_201(pair):
     assert logdet_via_product(d, k) == logdet_gjms(d, k)
 
 
-def test_product_step_columns_equal_both_routes_up_to_101():
-    # every column d <= 101 chained on its own records from the k = 1 seeds,
-    # all 1,275 pairs, against the binomial sum and the closed form
+def test_step_sum_columns_from_gamma_seeds_equal_both_routes_up_to_101():
+    # every column d <= 101 chained on its own records from the Gamma
+    # integral's k = 1 records, which share no code with the closed form: all
+    # 1,275 pairs against the binomial sum and the closed form
     below, checked = [], 0
     for d in range(3, 102, 2):
-        column = []
+        column = [logdet_gamma(d, 1)]
         for k in range(1, (d - 1) // 2 + 1):
-            column.append(product_step(d, below, column))
+            if k > 1:
+                column.append(ZetaExpr(*_step_sum(below, column)))
             assert column[-1] == logdet_via_product(d, k) == logdet_gjms(d, k), (d, k)
             checked += 1
         below = column
     assert checked == 1275
-
-
-def test_product_step_seed_and_validation():
-    assert product_step(7, [], []) is logdet_gjms(7, 1)
-    below = [logdet_gjms(3, 1)]
-    column = [logdet_gjms(5, 1), logdet_gjms(5, 2)]
-    with pytest.raises(DivergentDeterminantError):
-        product_step(5, below, column)  # k = 3 > 5/2
-    with pytest.raises(InvalidDimensionError):
-        product_step(6, [], [])
-    with pytest.raises(InvalidDimensionError, match="d must be an integer, got 5.0"):
-        product_step(5.0, [], [])
