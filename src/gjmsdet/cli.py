@@ -22,6 +22,7 @@ from .closed_form import (
     _DEFAULT_CONTEXT,
     _DIGITS_FLOOR,
     PrecisionContext,
+    _logdet_column,
     evaluate,
     f_expr,
     logdet_gjms,
@@ -140,8 +141,9 @@ def _cmd_crosscheck(args) -> int:
         # at int 0 as sum() does keeps every row's float additions unchanged
         fsum = 0
         column: list[ZetaExpr] = []
-        for k in range(1, (d - 1) // 2 + 1):
-            expr = logdet_gjms(d, k)
+        # the closed-form records of d from one pass over rows scaled once,
+        # each read once: none goes through logdet_gjms's cache
+        for k, expr in enumerate(_logdet_column(d), 1):
             closed = float(evaluate(expr, ctx))
             quadv = logdet_quadrature_result(d, k, cfg).value
             # the product route by its recurrence in k, chained on its own
@@ -150,8 +152,8 @@ def _cmd_crosscheck(args) -> int:
             # At k = 1 the rule is P_2(d)^1, so the column starts from the
             # row's own record, with nothing to compare
             if k == 1 or expr._equals_sum(*(prod_sum := _step_sum(below, column))):
-                # kept as the cached closed-form object, the same value
-                # without a record of its own
+                # kept as the closed-form object, the same value without a
+                # record of its own
                 column.append(expr)
                 prod = closed
             else:

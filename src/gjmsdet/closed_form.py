@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, log
 from operator import mul
+from typing import Iterator
 
 import mpmath as mp
 from mpmath import libmp
@@ -129,9 +130,19 @@ def f_expr(m: int) -> ZetaExpr:
     return f_odd((m - 1) // 2)
 
 
-# crosscheck reads each record once (its product route starts each column from
-# the row's k = 1 record); 1024 = quadrature.D_MAX_FLOAT64 + 1 also holds
-# every k = 1 record one logdet_via_product call reads, and all 465 pairs d <= 61
+def _weights(k: int) -> list[int]:
+    """4^k times the f-difference weights C(2k-1-j, j) (-1/4)^j of log det
+    P_2k, as the weights of pi f_{2m+1} from m = (d-1)/2 down to m0."""
+    weights = [0] * (k + 1)
+    for j in range(k):
+        c = (-1 if j % 2 else 1) * comb(2 * k - 1 - j, j) << 2 * (k - j)
+        weights[k - j] += c
+        weights[k - j - 1] -= c
+    return weights
+
+
+# 1024 = quadrature.D_MAX_FLOAT64 + 1 holds every k = 1 record one
+# logdet_via_product call reads, and all 465 pairs d <= 61
 @_cached_after(validate_d_k, maxsize=1024)
 def logdet_gjms(d: int, k: int) -> ZetaExpr:
     """Exact log det P_2k on the round unit d-sphere, d odd, 2k <= d.
@@ -140,15 +151,39 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
     sum is one _pi_f_odd_sum of the vectors pi f_{2m+1}, m0 <= m <= m0 + k.
     """
     top = (d - 1) // 2
-    # 4^k times the f-difference weights C(2k-1-j, j) (-1/4)^j, from m = top down
-    weights = [0] * (k + 1)
-    for j in range(k):
-        c = (-1 if j % 2 else 1) * comb(2 * k - 1 - j, j) << 2 * (k - j)
-        weights[k - j] += c
-        weights[k - j - 1] -= c
-    den, nums = _pi_f_odd_sum(top, weights)
+    den, nums = _pi_f_odd_sum(top, _weights(k))
     # the prefactor's sign and 2^(d-2k), the weights' 4^k
     return ZetaExpr(0, (-1) ** (top + k) * den << d, (0, *nums))
+
+
+def _logdet_column(d: int) -> Iterator[ZetaExpr]:
+    """logdet_gjms(d, k) for k = 1, 2, ..., (d-1)/2 in turn, d valid, past
+    logdet_gjms's cache.
+
+    The rows of _pi_f_odd_sum are scaled once for the whole column: entry n
+    of row m by its row factor (-1)^m (2top)!/(2m)! and its slot factor.
+    Record k is then one integer sum of the k + 1 scaled rows m = top..top-k
+    with _weights(k), over logdet_gjms's denominator and sign.  One record
+    alone sums first and scales once, which costs less than scaling k + 1 rows.
+    """
+    top = (d - 1) // 2
+    slots = [1 << 4 * top]  # (-1)^n (2n)! (4^n - 1) 16^(top-n); 16^top at n = 0
+    fact = 1
+    for n in range(1, top + 1):
+        fact *= (1 - 2 * n) * 2 * n
+        slots.append(fact * ((1 << 2 * n) - 1) << 4 * (top - n))
+    rows = []
+    c = (-1) ** top  # a running (-1)^m (2top)!/(2m)!
+    for m in range(top, -1, -1):
+        rows.append([c * s * t for s, t in zip(slots, _central_poly(2 * m + 1))])
+        c *= -2 * m * (2 * m - 1)
+    den = abs(fact) << 4 * top + d
+    for k in range(1, top + 1):
+        nums = [0] * (top + 1)
+        for w, row in zip(_weights(k), rows):
+            for n, v in enumerate(row):
+                nums[n] += w * v
+        yield ZetaExpr(0, (-1) ** (top + k) * den, (0, *nums))
 
 
 # -- numeric evaluation ---------------------------------------------------

@@ -1,6 +1,5 @@
 import dataclasses
 import errno
-import functools
 import hashlib
 import json
 import os
@@ -239,20 +238,33 @@ def test_crosscheck_past_float64_limit_fails_before_any_row(capsys, monkeypatch)
 
 
 def test_crosscheck_recomputes_no_record_under_the_bounded_cache(capsys, monkeypatch):
-    # the exact-record cache holds D_MAX_FLOAT64 + 1 records, fewer than the
-    # 1,275 that crosscheck --d-max 101 makes; yet none is computed twice,
-    # and the output is that of an unbounded cache
+    # each dimension's records come from one pass of _logdet_column, read
+    # once, so none is built twice and logdet_gjms's bounded cache (D_MAX_FLOAT64
+    # + 1 records, fewer than the 1,275 rows of --d-max 101) is never touched
     cached = closed_form.logdet_gjms
     assert cached.cache_info().maxsize == quadrature.D_MAX_FLOAT64 + 1
+    passes, records = [], []
+    column = cli._logdet_column
+
+    def counted(d):
+        passes.append(d)
+        for expr in column(d):
+            records.append((d, expr))
+            yield expr
+
+    monkeypatch.setattr(cli, "_logdet_column", counted)
     cached.cache_clear()
     code, out, _ = run(capsys, "crosscheck", "--d-max", "101")
     info = cached.cache_info()
-    cached.cache_clear()
-    assert code == 0 and info.misses == 1275 and info.currsize <= 1024
-    unbounded = functools.lru_cache(maxsize=None)(cached.__wrapped__)
-    for module in (closed_form, product_rules, cli):
-        monkeypatch.setattr(module, "logdet_gjms", unbounded)
+    assert code == 0 and (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert passes == list(range(3, 102, 2))
+    assert [d for d, _ in records] == [d for d in passes for _ in range((d - 1) // 2)]
+    assert len(records) == 1275
+    # the output is that of a run whose closed column is built per row
+    monkeypatch.setattr(cli, "_logdet_column",
+                        lambda d: (logdet_gjms(d, k) for k in range(1, (d - 1) // 2 + 1)))
     assert run(capsys, "crosscheck", "--d-max", "101") == (0, out, "")
+    cached.cache_clear()
 
 
 def test_crosscheck_runs_each_quadrature_once(capsys, monkeypatch):
@@ -375,6 +387,16 @@ def test_crosscheck_builds_the_product_route_by_its_recurrence(capsys, monkeypat
     reads = []  # the product route reads no record through product_rules
     closed = product_rules.logdet_gjms
     monkeypatch.setattr(product_rules, "logdet_gjms", lambda d, k: reads.append((d, k)) or closed(d, k))
+    firsts = {}  # each pass's k = 1 record, by dimension
+    column = cli._logdet_column
+
+    def first_kept(d):
+        records = column(d)
+        firsts[d] = next(records)
+        yield firsts[d]
+        yield from records
+
+    monkeypatch.setattr(cli, "_logdet_column", first_kept)
     seeds = {}  # each column's k = 1 product record, by dimension
     step = cli._step_sum
 
@@ -388,9 +410,9 @@ def test_crosscheck_builds_the_product_route_by_its_recurrence(capsys, monkeypat
     assert code == 0 and out.splitlines()[-1].startswith("OK:")
     assert 0 < len(sizes) <= len(rows) and max(sizes) <= 3
     assert reads == []
-    # the seed is the row's own closed-form object, not a copy
+    # the seed is the row's own closed-form object from the pass, not a copy
     assert sorted(seeds) == list(range(5, 28, 2))
-    assert all(seed is logdet_gjms(d, 1) for d, seed in seeds.items())
+    assert all(seed is firsts[d] and seed == logdet_gjms(d, 1) for d, seed in seeds.items())
 
 
 def test_crosscheck_chains_the_product_route_on_its_own_records(capsys, monkeypatch):
@@ -420,11 +442,11 @@ def test_crosscheck_fails_when_product_expression_differs(capsys, monkeypatch):
 
 def test_agreeing_crosscheck_builds_no_product_record(capsys, monkeypatch):
     # the product route's sums are compared with the closed form as integers:
-    # with the closed-form records cached, an agreeing run builds no ZetaExpr
+    # with the closed column supplied ready-made, an agreeing run builds no
+    # ZetaExpr
     monkeypatch.delenv(cli.DIGITS_ENV, raising=False)
-    for d in range(3, 28, 2):
-        for k in range(1, (d - 1) // 2 + 1):
-            logdet_gjms(d, k)
+    columns = {d: list(closed_form._logdet_column(d)) for d in range(3, 28, 2)}
+    monkeypatch.setattr(cli, "_logdet_column", lambda d: iter(columns[d]))
     built = []
     canonical = ZetaExpr.__post_init__
 
@@ -436,6 +458,28 @@ def test_agreeing_crosscheck_builds_no_product_record(capsys, monkeypatch):
     code, out, _ = run(capsys, "crosscheck", "--d-max", "27")
     assert code == 0 and out.splitlines()[-1].startswith("OK:")
     assert built == []
+
+
+def test_crosscheck_fails_when_the_closed_column_differs(capsys, monkeypatch):
+    # the closed column and the product route's sums (k >= 2) come from
+    # different code: a bump of 2^-64 log 2 in the one record (7, 2) the pass
+    # yields differs from the product route in that row alone (the product
+    # column goes on from its own record), far below both numeric gates
+    bump = ZetaExpr.log2(Fraction(1, 2**64))
+    column = cli._logdet_column
+
+    def bumped(d):
+        for k, expr in enumerate(column(d), 1):
+            yield expr + bump if (d, k) == (7, 2) else expr
+
+    monkeypatch.setattr(cli, "_logdet_column", bumped)
+    code, out, _ = run(capsys, "crosscheck", "--d-max", "11")
+    assert code == 1
+    summary = out.splitlines()[-1]
+    assert summary.startswith(
+        "FAIL: product route differs from the closed form in 1 rows, max deviation "
+    )
+    assert "exceeds" not in summary
 
 
 def test_crosscheck_exact_columns_are_the_closed_form_value(capsys, monkeypatch):

@@ -18,6 +18,7 @@ from gjmsdet.closed_form import (
     PrecisionContext,
     _basis,
     _basis_value,
+    _logdet_column,
     _pi_f_odd_sum,
     evaluate,
     f_even,
@@ -145,6 +146,15 @@ def test_logdet_matches_sum_of_scaled_vectors():
         pairs.append((d, rng.randrange(1, (d - 1) // 2 + 1)))
     for d, k in pairs:
         assert logdet_gjms(d, k) == logdet_scaled_vectors(d, k), (d, k)
+
+
+def test_logdet_column_is_the_per_record_closed_form():
+    # rows scaled once per dimension and summed per record equal each record
+    # summed first and scaled once: every pair d <= 61, and the whole column
+    # d = 201
+    for d in [*range(3, 62, 2), 201]:
+        want = [logdet_gjms(d, k) for k in range(1, (d - 1) // 2 + 1)]
+        assert list(_logdet_column(d)) == want, d
 
 
 def test_logdet_is_the_gamma_integral_for_d_le_61():
