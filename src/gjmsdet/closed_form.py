@@ -81,19 +81,20 @@ def f_even(m: int) -> Fraction:
     return Fraction((-1) ** m, 2 * factorial(2 * m)) * total
 
 
-def _pi_f_odd_sum(top: int, weights: list[int]) -> tuple[int, list[int]]:
-    """sum_i weights[i] pi f_{2m+1}, m = top - i, over (log 2, zeta(3)/pi^2,
-    ..., zeta(2top+1)/pi^2top) as the common denominator (2top)! 16^top and
-    the integer numerators over it.
+def _pi_f_odd_sum(top: int, weights: list[int], sign: int = 1) -> tuple[int, list[int]]:
+    """sign * sum_i weights[i] pi f_{2m+1}, m = top - i, over (log 2,
+    zeta(3)/pi^2, ..., zeta(2top+1)/pi^2top) as the common denominator
+    (2top)! 16^top > 0 and the integer numerators over it.
 
     In pi f_{2m+1} the coefficient of zeta(2n+1)/pi^2n (of log 2 for n = 0)
     is (-1)^{m+n} 4^{m-n} (2n)! t(2m+1, 2n+1) / (2m)!, times 1 - 4^-n for
     n >= 1.  Only (-1)^m (2m)! depends on m: the rows row_m[n] = 4^m
     t(2m+1, 2n+1) are summed with the integer weights (-1)^m (2top)!/(2m)!,
     then slot n is scaled by (-1)^n (2n)! 16^(top-n), times 4^n - 1 for n >= 1.
+    sign (+1 or -1) goes into the first row factor.
     """
     acc = [0] * (top + 1)
-    c = (-1) ** top  # a running (-1)^m (2top)!/(2m)!
+    c = (-1) ** top * sign  # a running sign (-1)^m (2top)!/(2m)!
     for m, w in zip(range(top, -1, -1), weights):
         cw = c * w
         for n, t in enumerate(_central_poly(2 * m + 1)):
@@ -151,9 +152,10 @@ def logdet_gjms(d: int, k: int) -> ZetaExpr:
     sum is one _pi_f_odd_sum of the vectors pi f_{2m+1}, m0 <= m <= m0 + k.
     """
     top = (d - 1) // 2
-    den, nums = _pi_f_odd_sum(top, _weights(k))
-    # the prefactor's sign and 2^(d-2k), the weights' 4^k
-    return ZetaExpr(0, (-1) ** (top + k) * den << d, (0, *nums))
+    # the prefactor's sign in the row factors, so den > 0; 2^(d-2k) and the
+    # weights' 4^k in den
+    den, nums = _pi_f_odd_sum(top, _weights(k), (-1) ** (top + k))
+    return ZetaExpr(0, den << d, (0, *nums))
 
 
 def _logdet_column(d: int) -> Iterator[ZetaExpr]:
@@ -161,10 +163,12 @@ def _logdet_column(d: int) -> Iterator[ZetaExpr]:
     logdet_gjms's cache.
 
     The rows of _pi_f_odd_sum are scaled once for the whole column: entry n
-    of row m by its row factor (-1)^m (2top)!/(2m)! and its slot factor.
-    Record k is then one integer sum of the k + 1 scaled rows m = top..top-k
-    with _weights(k), over logdet_gjms's denominator and sign.  One record
-    alone sums first and scales once, which costs less than scaling k + 1 rows.
+    of row m by its row factor (-1)^m (2top)!/(2m)!, times (-1)^top, and
+    its slot factor.  Record k is then one integer sum of the k + 1 scaled
+    rows m = top..top-k with (-1)^k _weights(k), over logdet_gjms's
+    denominator: the two signs make logdet_gjms's (-1)^(top+k), so every
+    record has den > 0.  One record alone sums first and scales once, which
+    costs less than scaling k + 1 rows.
     """
     top = (d - 1) // 2
     slots = [1 << 4 * top]  # (-1)^n (2n)! (4^n - 1) 16^(top-n); 16^top at n = 0
@@ -173,17 +177,19 @@ def _logdet_column(d: int) -> Iterator[ZetaExpr]:
         fact *= (1 - 2 * n) * 2 * n
         slots.append(fact * ((1 << 2 * n) - 1) << 4 * (top - n))
     rows = []
-    c = (-1) ** top  # a running (-1)^m (2top)!/(2m)!
+    c = 1  # a running (-1)^(top-m) (2top)!/(2m)!
     for m in range(top, -1, -1):
         rows.append([c * s * t for s, t in zip(slots, _central_poly(2 * m + 1))])
         c *= -2 * m * (2 * m - 1)
     den = abs(fact) << 4 * top + d
     for k in range(1, top + 1):
+        sign = -1 if k % 2 else 1
         nums = [0] * (top + 1)
         for w, row in zip(_weights(k), rows):
+            w *= sign
             for n, v in enumerate(row):
                 nums[n] += w * v
-        yield ZetaExpr(0, (-1) ** (top + k) * den, (0, *nums))
+        yield ZetaExpr(0, den, (0, *nums))
 
 
 # -- numeric evaluation ---------------------------------------------------
@@ -306,7 +312,7 @@ def evaluate(expr: ZetaExpr, ctx: PrecisionContext = _DEFAULT_CONTEXT) -> mp.mpf
     memo = expr._value
     if memo is not None and memo[0] == digits:
         return memo[1]
-    nums = expr.nums
+    den, nums = expr._held
     row = _basis(ctx).setdefault(expr.pi_pow, [0, []])
     e, ints = row
     if len(nums) > len(ints):
@@ -317,6 +323,6 @@ def evaluate(expr: ZetaExpr, ctx: PrecisionContext = _DEFAULT_CONTEXT) -> mp.mpf
             e = row[0] = low
         ints += [man << (exp - e) for man, exp in new]
     total = sum(map(mul, nums, ints))
-    value = mp.make_mpf(_round_quotient(total, expr.den, e, ctx._prec))
+    value = mp.make_mpf(_round_quotient(total, den, e, ctx._prec))
     object.__setattr__(expr, "_value", (digits, value))
     return value

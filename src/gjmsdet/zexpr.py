@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache, reduce, wraps
 from itertools import repeat
@@ -109,46 +109,97 @@ def _atom_text(n: int, pi_pow: int) -> tuple[str, str, str]:
     return "*".join(plain), tex, f'{{"atom":{js},"pi_pow":{p},"coeff":"'
 
 
-@dataclass(frozen=True, slots=True)
 class ZetaExpr:
     """Immutable dense expression ``pi^pi_pow * sum_n nums[n]/den * b_n``.
 
-    The form is canonical: ``den > 0``, ``gcd(den, *nums) == 1``, trailing
-    zero slots dropped, and the zero expression is ``(0, 1, ())``; so
-    equality and hashing compare the fields.  Use :meth:`from_terms`,
-    :meth:`log2` or :meth:`from_json` to build one from outside input.
-    Two private memos, filled on first use, are not part of the value:
-    equality, hashing and ``repr`` see only ``pi_pow, den, nums``.
+    The fields read in canonical form: ``den > 0``, ``gcd(den, *nums) ==
+    1``, trailing zero slots dropped, and the zero expression is ``(0, 1,
+    ())``; equal expressions compare, hash and print alike.  Use
+    :meth:`from_terms`, :meth:`log2` or :meth:`from_json` to build one from
+    outside input.
+
+    The constructor takes only the O(slots) steps: it drops trailing zeros,
+    moves den's sign into the numerators and shifts out the common power of
+    two, which is most of the common factor of a record built by a sum.  It
+    holds the rest, an odd multiple of the lowest terms, in _held.  The odd
+    gcd and its division run once, on the first read of den or nums, or on
+    hash or repr, and write the lowest terms back.  Equality, evaluate, the
+    integer sums and the renderers read _held: each gives the same answer
+    from any multiple of the fields.  Two private memos, filled on first use,
+    are not part of the value either.
     """
 
-    pi_pow: int
-    den: int
-    nums: tuple
-    # (decimal digits, value), set by closed_form.evaluate
-    _value: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # per nonzero slot: atom text, sign, reduced |num| and den digits; see _reduced
-    _lowest: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("pi_pow", "_held", "_in_lowest", "_value", "_lowest")
+    __match_args__ = ("pi_pow", "den", "nums")
 
-    def __post_init__(self) -> None:
-        if not self.den:
+    def __init__(self, pi_pow: int, den: int, nums: Iterable[int]) -> None:
+        if not den:
             raise ValueError("denominator must be nonzero")
-        den, nums = self.den, list(self.nums)
+        nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
+        if not nums:
+            pi_pow, den = 0, 1
+        elif den < 0:
+            den, nums = -den, [-c for c in nums]
         # the common factor's power of two is the lowest set bit of the OR of
-        # all fields, taken out by shifts; gcd and division see only the odd rest
+        # all fields, taken out by shifts; the odd rest waits for _fields
         low = reduce(or_, nums, den)
         shift = (low & -low).bit_length() - 1
         if shift:
             den >>= shift
             nums = [c >> shift for c in nums]
-        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-        if g != 1:
-            den //= g
-            nums = [c // g for c in nums]
-        object.__setattr__(self, "pi_pow", self.pi_pow if nums else 0)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "pi_pow", pi_pow)
+        object.__setattr__(self, "_held", (den, tuple(nums)))
+        object.__setattr__(self, "_in_lowest", den == 1)
+        # (decimal digits, value), set by closed_form.evaluate
+        object.__setattr__(self, "_value", None)
+        # per nonzero slot: atom text, sign, reduced |num| and den digits; see _reduced
+        object.__setattr__(self, "_lowest", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return ZetaExpr, (self.pi_pow, *self._held)
+
+    def _fields(self) -> tuple[int, tuple]:
+        """(den, nums) in lowest terms.  The first call divides the held
+        fields by their odd gcd and writes them back as one tuple before it
+        sets the flag: no reader pairs den and nums of two scalings, or sees
+        the flag set before the lowest terms."""
+        if not self._in_lowest:
+            den, nums = self._held
+            g = gcd(den, *nums)
+            if g != 1:
+                object.__setattr__(self, "_held", (den // g, tuple([c // g for c in nums])))
+            object.__setattr__(self, "_in_lowest", True)
+        return self._held
+
+    @property
+    def den(self) -> int:
+        return self._fields()[0]
+
+    @property
+    def nums(self) -> tuple:
+        return self._fields()[1]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # cross-multiplied: neither side need be in lowest terms
+        return self._equals_sum(other.pi_pow, *other._held)
+
+    def __hash__(self) -> int:
+        return hash((self.pi_pow, *self._fields()))
+
+    @_any_digits
+    def __repr__(self) -> str:
+        den, nums = self._fields()
+        return f"ZetaExpr(pi_pow={self.pi_pow!r}, den={den!r}, nums={nums!r})"
 
     # -- constructors -------------------------------------------------
 
@@ -190,9 +241,10 @@ class ZetaExpr:
 
     @_any_digits
     def _write_digits(self) -> tuple:
-        """Fill the memo _reduced reads; the one step that converts ints to text."""
-        den, flat = self.den, []
-        for n, c in enumerate(self.nums):
+        """Fill the memo _reduced reads; the one step that converts ints to
+        text.  Each slot is reduced on its own, so the held fields serve."""
+        (den, nums), flat = self._held, []
+        for n, c in enumerate(nums):
             if c:
                 g = gcd(c, den)
                 flat += (_atom_text(n, self.pi_pow), "-" if c < 0 else "",
@@ -204,12 +256,12 @@ class ZetaExpr:
     def terms(self) -> list[tuple[Atom, int, Fraction]]:
         """Nonzero terms (atom, own pi power, coeff) in the canonical order
         1, log 2, zeta(3), zeta(5), ..., which is slot order; each coeff is
-        reduced from the record's fields, not read from the rendering memo."""
-        den = self.den
-        return [(*_term(n, self.pi_pow), Fraction(c, den)) for n, c in enumerate(self.nums) if c]
+        reduced from the record's held fields, not read from the rendering memo."""
+        den, nums = self._held
+        return [(*_term(n, self.pi_pow), Fraction(c, den)) for n, c in enumerate(nums) if c]
 
     def is_zero(self) -> bool:
-        return not self.nums
+        return not self._held[1]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -227,33 +279,36 @@ class ZetaExpr:
     def _int_sum(pairs: Iterable[tuple[int, "ZetaExpr"]]) -> tuple[int, int, list[int]]:
         """Sum of weight * expr over (int weight, expr) pairs as the fields
         (pi_pow, den, nums) before the canonical form: integers over den, the
-        lcm of the operands' denominators, trailing zeros kept.  Nonzero
+        lcm of the operands' held denominators, trailing zeros kept.  Nonzero
         operands must share one pi power."""
-        pairs = [(w, e) for w, e in pairs if w and e.nums]
+        pairs = [(w, e) for w, e in pairs if w and e._held[1]]
         if not pairs:
             return 0, 1, []
         pi_pow = pairs[0][1].pi_pow
         if any(e.pi_pow != pi_pow for _, e in pairs):
             raise ValueError("cannot add expressions with different powers of pi")
-        den = lcm(*[e.den for _, e in pairs])
-        acc = [0] * max(len(e.nums) for _, e in pairs)
-        for w, e in pairs:
-            w *= den // e.den
-            for n, c in enumerate(e.nums):
+        held = [(w, *e._held) for w, e in pairs]
+        den = lcm(*[d for _, d, _ in held])
+        acc = [0] * max(len(nums) for _, _, nums in held)
+        for w, d, nums in held:
+            w *= den // d
+            for n, c in enumerate(nums):
                 acc[n] += w * c
         return pi_pow, den, acc
 
     def _equals_sum(self, pi_pow: int, den: int, nums) -> bool:
         """Whether this record is the value of the fields (pi_pow, den, nums),
-        den > 0, before their canonical form.  A record in lowest terms has a
-        den that divides the den of any equal fields, so the test is nums ==
-        (den / self.den) * self.nums past trailing zeros: one product per
-        slot, no gcd."""
-        f, r = divmod(den, self.den)
-        mine = self.nums
+        den nonzero, in any scaling.  Neither side need be in lowest terms:
+        with g = gcd(den, held den), the test is (den / g) * held nums ==
+        (held den / g) * nums past trailing zeros: two products per slot and
+        one gcd of two denominators, none over the whole record."""
+        mine_den, mine = self._held
         size = len(mine)
-        return (not r and (not size or pi_pow == self.pi_pow) and not any(nums[size:])
-                and list(map(mul, mine, repeat(f))) == list(nums[:size]))
+        if (size and pi_pow != self.pi_pow) or any(nums[size:]):
+            return False
+        g = gcd(den, mine_den)
+        return (list(map(mul, mine, repeat(den // g)))
+                == list(map(mul, nums[:size], repeat(mine_den // g))))
 
     # -- rendering ----------------------------------------------------
 
@@ -313,7 +368,3 @@ class ZetaExpr:
     @classmethod
     def from_json(cls, text: str) -> "ZetaExpr":
         return cls.from_json_obj(json.loads(text))
-
-
-# the dataclass's own repr, under the same lift as the renderers
-ZetaExpr.__repr__ = _any_digits(ZetaExpr.__repr__)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import mpmath as mp
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjmsdet import cli, closed_form, product_rules, quadrature
+from gjmsdet import cli, closed_form, product_rules, quadrature, zexpr
 from gjmsdet.closed_form import evaluate, logdet_gjms
 from gjmsdet.cli import main
 from gjmsdet.quadrature import QuadratureConfig
@@ -448,16 +449,41 @@ def test_agreeing_crosscheck_builds_no_product_record(capsys, monkeypatch):
     columns = {d: list(closed_form._logdet_column(d)) for d in range(3, 28, 2)}
     monkeypatch.setattr(cli, "_logdet_column", lambda d: iter(columns[d]))
     built = []
-    canonical = ZetaExpr.__post_init__
+    init = ZetaExpr.__init__
 
-    def counted(self):
+    def counted(self, *args):
         built.append(self)
-        canonical(self)
+        init(self, *args)
 
-    monkeypatch.setattr(ZetaExpr, "__post_init__", counted)
+    monkeypatch.setattr(ZetaExpr, "__init__", counted)
     code, out, _ = run(capsys, "crosscheck", "--d-max", "27")
     assert code == 0 and out.splitlines()[-1].startswith("OK:")
     assert built == []
+
+
+def test_records_reduce_to_lowest_terms_on_first_read(capsys, monkeypatch):
+    # a cold closed-form record and its value, and crosscheck's records and
+    # integer comparisons, take no gcd over a whole record: the first read of
+    # den reduces the record once, and no later read reduces it again
+    whole = []
+
+    def counted(*args):
+        if len(args) > 2:
+            whole.append(len(args))
+        return gcd(*args)
+
+    monkeypatch.setattr(zexpr, "gcd", counted)
+    logdet_gjms.cache_clear()
+    e = logdet_gjms(251, 1)
+    evaluate(e)
+    code, out, _ = run(capsys, "crosscheck", "--d-max", "27")
+    assert code == 0 and out.splitlines()[-1].startswith("OK:")
+    assert whole == []
+    den = e.den
+    assert whole == [1 + len(e.nums)] == [128]
+    assert e.den == den and hash(e) == hash((0, den, e.nums))
+    assert repr(e).startswith(f"ZetaExpr(pi_pow=0, den={den}, nums=(0, ")
+    assert whole == [128]
 
 
 def test_crosscheck_fails_when_the_closed_column_differs(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import json
+import pickle
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import render_oracle
 from gjmsdet import zexpr
-from gjmsdet.closed_form import f_expr, logdet_gjms
+from gjmsdet.closed_form import PrecisionContext, evaluate, f_expr, logdet_gjms
 from gjmsdet.zexpr import LOG2, ONE, ZetaExpr
 from sparse_terms import add, dense, record, scale, shift_pi, sparse, term
 
@@ -244,11 +245,20 @@ def test_weighted_sum_matches_fold(p, pairs, w, slots):
     assert ZetaExpr._weighted_sum([]).is_zero()
 
 
+def _unread(e, s, pad=0):
+    """A fresh record of e's value built from its fields times s, padded
+    with trailing zeros: it holds them times the odd part of s until a read
+    of den or nums, or hash or repr, reduces it."""
+    return ZetaExpr(e.pi_pow, s * e.den, [s * c for c in e.nums] + [0] * pad)
+
+
 @given(records, weighted_slots, st.integers(1, 10**30), st.integers(0, 3))
 def test_equals_sum_is_equality_with_the_record_built(e, pairs, s, pad):
     # any unreduced fields (pi_pow, den > 0, nums), as a list or a tuple,
     # compare with a record as the record they build does: e's own fields
-    # scaled and padded, an integer sum of records, and fields a hair off e's
+    # scaled and padded, an integer sum of records, and fields a hair off e's.
+    # So do they with a receiver still holding e's fields times -3s, and the
+    # record they build, unread, with e's fields
     pairs = [(weight, record(e.pi_pow, slots)) for weight, slots in pairs]
     scaled = [s * c for c in e.nums]
     cases = [
@@ -262,8 +272,11 @@ def test_equals_sum_is_equality_with_the_record_built(e, pairs, s, pad):
     ]
     for pi_pow, den, nums in cases:
         want = ZetaExpr(pi_pow, den, nums) == e
+        assert want == (e == ZetaExpr(pi_pow, den, nums))
         assert e._equals_sum(pi_pow, den, nums) == want
         assert e._equals_sum(pi_pow, den, tuple(nums)) == want
+        assert _unread(e, -3 * s, pad)._equals_sum(pi_pow, den, nums) == want
+        assert ZetaExpr(pi_pow, den, nums)._equals_sum(e.pi_pow, e.den, e.nums) == want
     assert ZetaExpr._weighted_sum(pairs) == ZetaExpr(*ZetaExpr._int_sum(pairs))
 
 
@@ -275,6 +288,20 @@ def test_canonical_form_under_scaling(e, p, s, pad, w):
     # any power
     scaled = ZetaExpr(e.pi_pow if e.nums else p, s * e.den, [s * c for c in e.nums] + [0] * pad)
     assert (scaled.pi_pow, scaled.den, scaled.nums) == (e.pi_pow, e.den, e.nums)
+    # every reader gives the same from a record that still holds scaled
+    # fields, each call on a fresh one, as receiver and as operand
+    low = ZetaExpr(e.pi_pow, e.den, e.nums)
+    assert _unread(e, s, pad) == low and low == _unread(e, s, pad)
+    assert _unread(e, s, pad) == _unread(e, -7 * s)
+    assert hash(_unread(e, s, pad)) == hash(low) and repr(_unread(e, s, pad)) == repr(low)
+    assert str(_unread(e, s, pad)) == str(low) and _unread(e, s).to_latex() == low.to_latex()
+    assert _unread(e, s, pad).to_json() == low.to_json() and _unread(e, s).terms() == low.terms()
+    assert _unread(e, s, pad)._equals_sum(e.pi_pow, e.den, e.nums)
+    assert _unread(e, s)._equals_sum(e.pi_pow, -5 * s * e.den, [-5 * s * c for c in e.nums])
+    assert low._equals_sum(e.pi_pow, s * e.den, [s * c for c in e.nums] + [0] * pad)
+    for digits in (15, 50, 100):
+        ctx = PrecisionContext(digits)
+        assert evaluate(_unread(e, s, pad), ctx)._mpf_ == evaluate(low, ctx)._mpf_
     assert scaled == e and hash(scaled) == hash(e)
     assert scaled.den > 0 and gcd(scaled.den, *scaled.nums) == 1
     assert ZetaExpr.from_terms(scaled.terms()) == e
@@ -305,6 +332,9 @@ def test_canonical_form_matches_plain_gcd_reduction(den, nums, odd, t):
     e = ZetaExpr(3, raw_den, raw_nums)
     assert (e.den, e.nums) == _gcd_reduced(raw_den, raw_nums)
     assert e.pi_pow == (3 if e.nums else 0)
+    # whichever field is read first reduces the record
+    e = ZetaExpr(3, raw_den, raw_nums)
+    assert (e.nums, e.den) == _gcd_reduced(raw_den, raw_nums)[::-1]
 
 
 _FIRST_CALLS = {
@@ -350,9 +380,11 @@ def test_renderers_and_from_json_pass_the_int_str_digit_limit(first):
 
 def test_digits_are_written_once_per_record(monkeypatch):
     # a second render reads the record's memo: no atom text lookup, no gcd
-    # and no int to str conversion
+    # and no int to str conversion; the oracle texts, which read the public
+    # fields and so reduce them, are written before the patch
     e = logdet_gjms(61, 30)
     first = (str(e), e.to_latex(), e.to_json())
+    oracle = (render_oracle.plain(e), render_oracle.latex(e), render_oracle.json_text(e))
 
     def forbidden(*args):
         raise AssertionError("a warm render reduced or looked up a slot again")
@@ -360,7 +392,7 @@ def test_digits_are_written_once_per_record(monkeypatch):
     monkeypatch.setattr(zexpr, "_atom_text", forbidden)
     monkeypatch.setattr(zexpr, "gcd", forbidden)
     again = (str(e), e.to_latex(), e.to_json())
-    assert again == first == (render_oracle.plain(e), render_oracle.latex(e), render_oracle.json_text(e))
+    assert again == first == oracle
 
 
 def test_log2_rejects_inexact_coefficients():
@@ -375,9 +407,24 @@ def test_log2_rejects_inexact_coefficients():
 
 
 def test_only_the_value_fields_compare():
-    # the private memos are not part of the value
-    assert {f.name for f in fields(ZetaExpr) if f.compare} == {"pi_pow", "den", "nums"}
+    # the private memos and the held scaling are not part of the value:
+    # a record with both memos filled and one built fresh from fields
+    # scaled by -6 compare, hash and print alike; records are immutable
     e = ZetaExpr(2, 6, (3, 0, -4))
+    assert repr(e) == "ZetaExpr(pi_pow=2, den=6, nums=(3, 0, -4))"
+    str(e)
+    evaluate(e)
+    assert e._lowest is not None and e._value is not None
+    fresh = ZetaExpr(2, -36, (-18, 0, 24, 0))
+    assert fresh._lowest is None and fresh._value is None
+    assert fresh == e and e == fresh and hash(fresh) == hash(e) and repr(fresh) == repr(e)
+    assert (fresh.pi_pow, fresh.den, fresh.nums) == (2, 6, (3, 0, -4))
+    assert pickle.loads(pickle.dumps(e)) == e
+    for name in ("pi_pow", "den", "nums", "_held", "_value"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(e, name)
     assert repr(e) == "ZetaExpr(pi_pow=2, den=6, nums=(3, 0, -4))"
 
 
