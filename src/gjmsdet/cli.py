@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -87,18 +88,30 @@ def _emit(text: str, out_path: str | None) -> None:
 # -- subcommands -----------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)  # bounded: a process may print any number of values
+def _value_text(value: mp.mpf, digits: int) -> str:
+    """``mp.nstr(value, digits)``, formatted once per value and digit count.
+
+    The text depends on those two alone, so a changed working precision or
+    evaluator needs no key of its own: it reads the text of the value it
+    gives.  Only ``logdet`` reads it; the other commands print each of their
+    values once.
+    """
+    return mp.nstr(value, digits)
+
+
 def _cmd_logdet(args) -> int:
     ctx = _display_precision(args.digits)
     expr = logdet_gjms(args.d, args.k)
-    value = evaluate(expr, ctx)
+    text = _value_text(evaluate(expr, ctx), args.digits)
     if args.format == "plain":
         print(f"log det P_{2 * args.k}({args.d}) = {expr}")
-        print(f"  ~ {mp.nstr(value, args.digits)}")
+        print(f"  ~ {text}")
     elif args.format == "latex":
         print(expr.to_latex())
-        print(f"% ~ {mp.nstr(value, args.digits)}")
+        print(f"% ~ {text}")
     else:  # json: the terms go in as to_json wrote them, not re-encoded
-        shown = json.dumps(mp.nstr(value, args.digits))
+        shown = json.dumps(text)
         print(f'{{"d":{args.d},"k":{args.k},"terms":{expr.to_json()},"value":{shown}}}')
     return 0
 

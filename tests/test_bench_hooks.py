@@ -47,6 +47,17 @@ def test_package_caches_hold_the_keys_the_runner_reads(monkeypatch):
         assert hasattr(caches.get(key), "cache_info"), key
 
 
+def test_package_caches_list_the_logdet_value_text_memo(monkeypatch, capsys):
+    # the benchmark's cold check covers every cache package_caches lists
+    worker = _load_worker(monkeypatch)
+    memo = worker.package_caches().get("cli._value_text")
+    assert memo is gjmsdet.cli._value_text
+    assert gjmsdet.cli.main(["logdet", "--d", "5", "--k", "2"]) == 0
+    capsys.readouterr()
+    errors = worker.cold_errors(gjmsdet, {"cli._value_text": memo})
+    assert any(e.startswith("cli._value_text not cold") for e in errors), errors
+
+
 def test_warm_query_corruption_reaches_memoized_values(monkeypatch, capsys):
     # the benchmark's warm_queries corruption wraps cli.evaluate; a value
     # memoized on the cached record must not let a query get round it

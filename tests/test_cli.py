@@ -720,6 +720,37 @@ def test_tables_and_sweep_print_pinned_text(capsys, argv):
         assert (code, out, err) == (0, expected, "")
 
 
+def test_logdet_value_text_memo_prints_what_an_empty_memo_prints(capsys, monkeypatch):
+    # the value text is memoized by value and shown digits: one record at
+    # other digits, formats or working precision, asked in one process,
+    # prints the bytes it prints with the memo emptied first
+    memo = cli._value_text
+    assert memo.cache_info().maxsize is not None
+    queries = [(env, digits, fmt) for env, digits in ((None, "5"), (None, "12"), ("60", "55"))
+               for fmt in ("plain", "json", "latex")]
+
+    def ask(env, digits, fmt):
+        if env is None:
+            monkeypatch.delenv("GJMSDET_DIGITS", raising=False)
+        else:
+            monkeypatch.setenv("GJMSDET_DIGITS", env)
+        code, out, err = run(capsys, "logdet", "--d", "9", "--k", "2",
+                             "--digits", digits, "--format", fmt)
+        assert (code, err) == (0, ""), (env, digits, fmt)
+        return out
+
+    warm = [ask(*q) for q in queries]
+    before = memo.cache_info()
+    assert [ask(*q) for q in queries] == warm
+    after = memo.cache_info()
+    assert (after.hits - before.hits, after.misses) == (len(queries), before.misses)
+    for q, out in zip(queries, warm):
+        memo.cache_clear()
+        assert ask(*q) == out, q
+    values = {out.splitlines()[-1].rpartition("~ ")[2] for out in warm[::3]}
+    assert len(values) == 3  # the three digit settings print three texts
+
+
 def test_precision_env_override(capsys, monkeypatch):
     monkeypatch.setenv("GJMSDET_DIGITS", "25")
     code, out, _ = run(capsys, "logdet", "--d", "5", "--k", "2", "--digits", "20")

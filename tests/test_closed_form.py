@@ -157,14 +157,45 @@ def test_logdet_column_is_the_per_record_closed_form():
         assert list(_logdet_column(d)) == want, d
 
 
+def _package_imports(path) -> set[str]:
+    """The gjmsdet modules a source file imports, named within the package
+    (``gjmsdet`` for the package itself); a relative import is the package's."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found |= {f"gjmsdet.{m}" for m in names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+    return {m.removeprefix("gjmsdet.") for m in found if m.partition(".")[0] == "gjmsdet"}
+
+
+# the package modules each module below the CLI may import: errors is the
+# root, and each exact table or route imports only what it reads
+IMPORT_ALLOW_LIST = {
+    "errors": set(),
+    "zexpr": {"errors"},
+    "norlund": {"errors"},
+    "exact": {"errors"},
+    "quadrature": {"errors"},
+    "closed_form": {"errors", "norlund", "zexpr"},
+    "product_rules": {"closed_form", "errors", "zexpr"},
+}
+
+
+def test_package_modules_import_only_their_allow_list():
+    src = Path(closed_form.__file__).parent
+    for name, allowed in IMPORT_ALLOW_LIST.items():
+        assert _package_imports(src / f"{name}.py") <= allowed, name
+
+
 def test_logdet_is_the_gamma_integral_for_d_le_61():
     # the Gamma integral's exact form, built from its own product Q_n and
     # eta values with ZetaExpr.from_terms alone: no code shared with the
     # Norlund rows, equal on all 465 pairs d <= 61
-    tree = ast.parse(Path(gamma_oracle.__file__).read_text())
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
-    assert {m for m in imported if m.startswith("gjmsdet")} == {"gjmsdet.zexpr"}
+    assert _package_imports(gamma_oracle.__file__) == {"zexpr"}
     pairs = [(d, k) for d in range(3, 62, 2) for k in range(1, (d - 1) // 2 + 1)]
     assert len(pairs) == 465
     for d, k in pairs:
